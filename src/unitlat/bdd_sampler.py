@@ -19,15 +19,14 @@ from typing import List, Sequence
 from .lattice_core import (
     BasisMatrix,
     FixedPointVector,
+    common_denominator,
     dot,
     norm_sq,
-    op_norm,
+    op_norm_two_sq,
     round_half_away,
     sqrt_lower,
 )
-from .enumeration import lattice_points_in_ball, shortest_vector_sq
-
-ENUMERATION_DIM_LIMIT = 8
+from .enumeration import ENUMERATION_DIM_LIMIT, lattice_points_in_ball, shortest_vector_sq
 
 
 class ConfigurationError(ValueError):
@@ -99,24 +98,31 @@ def lambda1_sq_bound(basis: BasisMatrix) -> Fraction:
     """Exact lambda_1^2 for small dimensions, else a sound lower bound."""
     if basis.m <= ENUMERATION_DIM_LIMIT:
         return shortest_vector_sq(basis)
-    # lambda_1(L) >= 1 / ||(B^t)^-1... via the dual-side operator-norm bound
-    dual = basis.transpose().inverse_as_matrix()
-    bound = op_norm(dual, "inf_one")
-    return 1 / bound**2
+    return lambda1_sq_lower_bound(basis)
+
+
+def lambda1_sq_lower_bound(basis: BasisMatrix) -> Fraction:
+    """Sound lower bound 1 / max_j ||row_j((B^t)^-1)||^2 on lambda_1^2, any dim.
+
+    A nonzero lattice vector v = x B has some coordinate x_j =
+    <v, row_j((B^t)^-1)> that is a nonzero integer, so
+    1 <= ||v|| ||row_j((B^t)^-1)|| by Cauchy-Schwarz.
+    """
+    return 1 / op_norm_two_sq(basis.dual())
 
 
 def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix):
     """Round a point near M* to M*: z = round(B_M^t y), y = z in the dual basis.
 
     Exact given the fixed-point input; when dist(y_tilde, M*) < 1/(2 ||B_M||_2)
-    the returned point is the closest vector of M*.
+    the returned point is the closest vector of M*. The dual basis is computed
+    once per basis and kept on it.
     """
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
     y_rat = y_tilde.to_rationals()
     z = tuple(round_half_away(dot(row, y_rat)) for row in b_m.rows)
-    dual = b_m.transpose().inverse_as_matrix()
-    y = dual.row_combination(z)
+    y = b_m.dual().row_combination(z)
     return y, z
 
 
@@ -124,12 +130,28 @@ _SUPPORT_CACHE: dict = {}
 
 
 def _support(b_l_star: BasisMatrix, sigma: Fraction):
-    """Truncated-Gaussian support (points within 3 sigma), memoized: repeated
-    experiments on the same dual lattice dominate the enumeration cost."""
-    key = (b_l_star.dumps(), sigma)
-    if key not in _SUPPORT_CACHE:
-        _SUPPORT_CACHE[key] = lattice_points_in_ball(b_l_star, 9 * sigma * sigma)
-    return _SUPPORT_CACHE[key]
+    """(coords, cdf, lambda_1^2) of the truncated Gaussian over the 3 sigma
+    ball, memoized per (basis, sigma): repeated experiments on the same dual
+    lattice would otherwise repeat the enumeration and the weights."""
+    key = (b_l_star, sigma)
+    entry = _SUPPORT_CACHE.get(key)
+    if entry is None:
+        points = lattice_points_in_ball(b_l_star, 9 * sigma * sigma)
+        scale = common_denominator(b_l_star) ** 2
+        sigma_f = float(sigma)
+        # n / scale is the correctly rounded float of the exact squared norm
+        weights = [
+            math.exp(-math.pi * (n / scale) / (sigma_f * sigma_f)) for _, n in points
+        ]
+        total = sum(weights)
+        cum = []
+        acc = 0.0
+        for w in weights:
+            acc += w / total
+            cum.append(acc)
+        entry = ([x for x, _ in points], cum, lambda1_sq_bound(b_l_star))
+        _SUPPORT_CACHE[key] = entry
+    return entry
 
 
 def sample_dual(
@@ -140,22 +162,8 @@ def sample_dual(
 ) -> List[SampleRecord]:
     """Draw `count` simulated sampler outputs near the lattice of b_l_star."""
     m = b_l_star.m
-    sigma = Fraction(cfg.sigma)
-    support = _support(b_l_star, sigma)
-    if not support:
-        raise ConfigurationError("truncated Gaussian support is empty")
-    sigma_f = float(sigma)
-    weights = [
-        math.exp(-math.pi * float(norm_sq(p)) / (sigma_f * sigma_f)) for _, p in support
-    ]
-    total = sum(weights)
-    cum = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cum.append(acc)
-
-    lam_sq = lambda1_sq_bound(b_l_star)
+    sigma_f = float(cfg.sigma)
+    support, cum, lam_sq = _support(b_l_star, cfg.sigma)
     # stay strictly inside the advertised radius so the exact coverage check
     # is immune to float rounding at the boundary
     noise_radius = 0.999 * float(sqrt_lower(lam_sq)) * float(cfg.delta)
@@ -165,13 +173,12 @@ def sample_dual(
     out = []
     for _ in range(count):
         u = rng.random()
-        idx = _bisect(cum, u)
-        coords, point = support[idx]
+        coords = support[_bisect(cum, u)]
         failed = rng.random() < float(cfg.eta)
         if failed:
             value = [rng.uniform(-box, box) for _ in range(m)]
         else:
-            value = [float(x) for x in point]
+            value = [float(x) for x in b_l_star.row_combination(coords)]
             if noise_radius > 0:
                 gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
                 gn = math.sqrt(sum(g * g for g in gauss)) or 1.0

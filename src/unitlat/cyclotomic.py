@@ -14,9 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-import mpmath
-from mpmath import iv, mp
-
 from .lattice_core import FixedPointVector, round_half_away
 
 
@@ -152,6 +149,9 @@ def log_embedding(
     wider than 2**-precision_bits the working precision is doubled (up to
     max_bits) before giving up with PrecisionEscalation.
     """
+    import mpmath
+    from mpmath import iv, mp
+
     m = field.m
     for t in exponents:
         if t % m == 0:
@@ -275,6 +275,9 @@ def alt_period_check(
     maximum distance of the shifted coefficients to the nearest integers is the
     residual (0 for a genuine period).
     """
+    import mpmath
+    from mpmath import mp
+
     old = mp.prec
     try:
         mp.prec = precision_bits + 64

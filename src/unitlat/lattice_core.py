@@ -152,7 +152,7 @@ class FixedPointVector:
 class BasisMatrix:
     """Square full-rank matrix of exact rationals whose rows generate a lattice."""
 
-    __slots__ = ("rows", "m", "_det", "_inv")
+    __slots__ = ("rows", "m", "_det", "_inv", "_dual")
 
     def __init__(self, rows):
         mat = tuple(tuple(_to_frac(x) for x in row) for row in rows)
@@ -163,6 +163,7 @@ class BasisMatrix:
         self.m = m
         self._det = None
         self._inv = None
+        self._dual = None
         if self.det() == 0:
             raise RankError("basis matrix is singular")
 
@@ -203,6 +204,12 @@ class BasisMatrix:
     def inverse_as_matrix(self) -> "BasisMatrix":
         return BasisMatrix(self.inverse_rows())
 
+    def dual(self) -> "BasisMatrix":
+        """Rows generating the dual lattice, (B^t)^-1 = (B^-1)^t, computed once."""
+        if self._dual is None:
+            self._dual = BasisMatrix(zip(*self.inverse_rows()))
+        return self._dual
+
     def matmul(self, other: "BasisMatrix") -> "BasisMatrix":
         return BasisMatrix(_matmul(self.rows, other.rows))
 
@@ -235,6 +242,11 @@ class BasisMatrix:
     @classmethod
     def loads(cls, s: str) -> "BasisMatrix":
         return cls.from_json(json.loads(s))
+
+
+def common_denominator(basis: BasisMatrix) -> int:
+    """Least common denominator D of the entries: D B is an integer matrix."""
+    return math.lcm(*(x.denominator for row in basis.rows for x in row))
 
 
 def _frac_str(x: Fraction) -> str:
@@ -307,7 +319,7 @@ def gram_schmidt(basis: BasisMatrix) -> GramSchmidtData:
 
 def dual_basis(basis: BasisMatrix) -> BasisMatrix:
     """Rows generating the dual lattice: (B^t)^-1."""
-    return basis.transpose().inverse_as_matrix()
+    return basis.dual()
 
 
 def op_norm(basis: BasisMatrix, mode: str = "inf_one") -> Fraction:
@@ -334,11 +346,13 @@ def op_norm_two_sq(basis: BasisMatrix) -> Fraction:
 def lambda1_dual_bounds(basis: BasisMatrix) -> tuple:
     """Sound rational bounds (lower, upper) on 1/lambda_1 of the dual lattice.
 
-    lower = 2**(-3m) * ||B^t||, upper = ||B|| in the (inf,1) operator norm.
+    lower = 2**(-3m) * ||B^t|| in the (inf,1) operator norm; upper = the max
+    row 2-norm of B, rounded up: a nonzero dual vector w has <w, b_i> a
+    nonzero integer for some row b_i, so 1 <= ||w|| ||b_i||.
     """
     m = basis.m
     lower = Fraction(1, 1 << (3 * m)) * op_norm(basis.transpose(), "inf_one")
-    upper = op_norm(basis, "inf_one")
+    upper = op_norm(basis, "two_rowmax")
     assert lower <= upper
     return lower, upper
 

@@ -152,7 +152,7 @@ def recover_with_sublattice(
             f"recovered index {index} exceeds the bound {problem.index_bound}"
         )
     # L* = W . M* in coordinates, so B_L* = W B_M* and B_L = (W^t)^-1 B_M
-    b_l = w.transpose().inverse_as_matrix().matmul(problem.b_m)
+    b_l = w.dual().matmul(problem.b_m)
     return RecoveryResult(b_l, index, k, factors, tuple(map(tuple, h)), failed)
 
 
@@ -222,7 +222,7 @@ def recover_baseline(
     b_l_star = BasisMatrix(
         [[Fraction(e.a) for e in row] for row in result.basis_approx]
     )
-    b_l = b_l_star.transpose().inverse_as_matrix()
+    b_l = b_l_star.dual()
     return BaselineResult(
         True,
         derived.q,

@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unitlat.bdd_sampler import (
     ConfigurationError,
@@ -10,10 +13,12 @@ from unitlat.bdd_sampler import (
     babai_bdd,
     dump_samples,
     lambda1_sq_bound,
+    lambda1_sq_lower_bound,
     load_samples,
     sample_dual,
     verify_sampler_contract,
 )
+from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
     FixedPointVector,
@@ -32,6 +37,19 @@ def rand_basis(rng, dim, lo=-6, hi=6):
             return BasisMatrix(rows)
         except RankError:
             continue
+
+
+@st.composite
+def rational_bases(draw):
+    """Random non-integral, non-symmetric rational bases of dims 2-4."""
+    m = draw(st.integers(2, 4))
+    entry = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    assume(any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)))
+    try:
+        return BasisMatrix(rows)
+    except RankError:
+        assume(False)
 
 
 class TestConfig:
@@ -94,6 +112,17 @@ class TestLambda1Bound:
         b = BasisMatrix.identity(10)  # above the enumeration dimension limit
         assert lambda1_sq_bound(b) <= 1
 
+    def test_lower_bound_on_non_symmetric_example(self):
+        # the former (inf,1)-norm bound claimed lambda_1^2 >= 2.133 here
+        b = BasisMatrix([[F(6), F(-5)], [F(-1, 4), F(-4, 3)]])
+        assert shortest_vector_sq(b) == F(265, 144)
+        assert lambda1_sq_lower_bound(b) <= F(265, 144)
+
+    @given(rational_bases())
+    @settings(max_examples=150, deadline=None)
+    def test_lower_bound_sound(self, b):
+        assert lambda1_sq_lower_bound(b) <= shortest_vector_sq(b)
+
 
 class TestSampler:
     def test_deterministic_replay(self):
@@ -133,6 +162,22 @@ class TestSampler:
         assert rep["coverage_ok"]
         assert rep["concentration_mass"] == 1.0
         assert rep["coverage"] >= 1 - float(cfg.eta) - rep["mc_tolerance"]
+
+    def test_pinned_stream_non_integral_basis(self):
+        """The sample stream on a rational 3x3 dual basis is fixed: any change
+        to enumeration order, weights or draws must be deliberate."""
+        b = BasisMatrix(
+            [
+                [F(3, 2), F(-1, 3), F(2, 5)],
+                [F(1, 4), F(5, 3), F(-2, 7)],
+                [F(-1, 2), F(1, 6), F(9, 4)],
+            ]
+        )
+        cfg = SamplerConfig(delta=F(1, 8), r=6, eta=F(1, 10), sigma=F(3, 2), seed=11)
+        digest = hashlib.sha256(dump_samples(sample_dual(b, cfg, 200)).encode())
+        assert digest.hexdigest() == (
+            "2ab2257de2b5838f8b464434539dc3af584bd6f7aeb313f34cb63a07963cd58b"
+        )
 
     def test_failure_injection_rate(self):
         b = BasisMatrix.identity(2)

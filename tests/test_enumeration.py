@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from unitlat.enumeration import coords_in_ball, lattice_points_in_ball, shortest_vector_sq
-from unitlat.lattice_core import BasisMatrix, RankError, norm_sq
+from unitlat.lattice_core import BasisMatrix, RankError, common_denominator, norm_sq
 
 F = Fraction
 
@@ -17,41 +18,75 @@ def rand_basis(rng, dim, lo=-5, hi=5):
             continue
 
 
-def brute_force_points(basis, radius_sq, box=12):
-    out = set()
-    m = basis.m
-    for x in itertools.product(range(-box, box + 1), repeat=m):
-        p = basis.row_combination(x)
-        if norm_sq(p) <= radius_sq:
-            out.add(x)
-    return out
+def rand_rational_basis(rng, dim):
+    """Random non-integral entries (non-symmetric but for rare draws)."""
+    while True:
+        rows = [
+            [F(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(dim)]
+            for _ in range(dim)
+        ]
+        try:
+            return BasisMatrix(rows)
+        except RankError:
+            continue
+
+
+def ball_box(basis, radius_sq):
+    """Bounds on |x_j| over the ball: |x_j| <= sqrt(radius_sq) ||row_j(B^t)^-1||."""
+    return [
+        math.isqrt(math.floor(radius_sq * norm_sq(row))) + 1 for row in basis.dual().rows
+    ]
+
+
+def brute_force_points(basis, radius_sq):
+    """Ball coordinates in enumeration order (ascending reversed tuple)."""
+    boxes = ball_box(basis, radius_sq)
+    out = []
+    for x in itertools.product(*(range(-b, b + 1) for b in boxes)):
+        if norm_sq(basis.row_combination(x)) <= radius_sq:
+            out.append(x)
+    return sorted(out, key=lambda x: x[::-1])
+
+
+def assert_matches_brute_force(basis, radius_sq):
+    got = list(coords_in_ball(basis, radius_sq))
+    assert [x for x, _ in got] == brute_force_points(basis, radius_sq)
+    scale = common_denominator(basis) ** 2
+    for x, n in got:
+        assert F(n, scale) == norm_sq(basis.row_combination(x))
 
 
 class TestEnumeration:
     def test_unit_ball_z2(self):
-        pts = {x for x in coords_in_ball(BasisMatrix.identity(2), F(1))}
+        pts = {x for x, _ in coords_in_ball(BasisMatrix.identity(2), F(1))}
         assert pts == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_matches_brute_force(self):
         rng = random.Random(1)
         for _ in range(10):
-            b = rand_basis(rng, 2)
-            r_sq = F(rng.randint(1, 40))
-            got = set(coords_in_ball(b, r_sq))
-            assert got == brute_force_points(b, r_sq)
+            assert_matches_brute_force(rand_basis(rng, 2), F(rng.randint(1, 40)))
+        # rational non-symmetric bases, radius exactly the norm of a lattice
+        # vector: the boundary points must come out, in order, exactly normed;
+        # skewed draws whose search box exceeds 10k candidates are skipped
+        # only to bound the brute force's run time
+        checked = 0
+        while checked < 20:
+            b = rand_rational_basis(rng, rng.randint(2, 4))
+            v = b.row_combination([rng.randint(-1, 1) for _ in range(b.m)])
+            if math.prod(2 * x + 1 for x in ball_box(b, norm_sq(v))) > 10_000:
+                continue
+            assert_matches_brute_force(b, norm_sq(v))
+            checked += 1
 
     def test_points_carry_correct_vectors(self):
         b = BasisMatrix([[F(2), F(1)], [F(0), F(3)]])
-        for coords, point in lattice_points_in_ball(b, F(30)):
-            assert tuple(b.row_combination(coords)) == tuple(point)
-            assert norm_sq(point) <= 30
+        scale = common_denominator(b) ** 2
+        for coords, n in lattice_points_in_ball(b, F(30)):
+            assert F(n, scale) == norm_sq(b.row_combination(coords)) <= 30
 
     def test_dim3(self):
         rng = random.Random(2)
-        b = rand_basis(rng, 3)
-        r_sq = F(16)
-        got = set(coords_in_ball(b, r_sq))
-        assert got == brute_force_points(b, r_sq, box=8)
+        assert_matches_brute_force(rand_basis(rng, 3), F(16))
 
 
 class TestShortestVector:

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from unitlat.enumeration import shortest_vector_sq
 
 from unitlat.lattice_core import (
     BasisMatrix,
@@ -163,6 +165,38 @@ class TestLambda1DualBounds:
             b = rand_basis(rng, 3)
             lo, hi = lambda1_dual_bounds(b)
             assert lo <= hi
+
+    def test_upper_on_non_symmetric_example(self):
+        # 1/lambda_1(L*) = 6.82 here; the former (inf,1)-norm upper gave 6.33
+        b = BasisMatrix([[F(6), F(-5)], [F(-1, 4), F(-4, 3)]])
+        _, hi = lambda1_dual_bounds(b)
+        assert hi**2 * shortest_vector_sq(dual_basis(b)) >= 1
+
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.fractions(min_value=-8, max_value=8, max_denominator=6),
+                    min_size=m,
+                    max_size=m,
+                ),
+                min_size=m,
+                max_size=m,
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_upper_sound(self, rows):
+        """1/lambda_1(L*) <= upper, i.e. upper^2 lambda_1(L*)^2 >= 1, exactly,
+        on random non-integral non-symmetric bases."""
+        m = len(rows)
+        assume(any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)))
+        try:
+            b = BasisMatrix(rows)
+        except RankError:
+            assume(False)
+        _, hi = lambda1_dual_bounds(b)
+        assert hi**2 * shortest_vector_sq(dual_basis(b)) >= 1
 
 
 class TestGramSchmidt:
