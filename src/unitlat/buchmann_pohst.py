@@ -86,10 +86,6 @@ class DerivedBounds:
     m_tilde: Fraction
     q: int
 
-    @property
-    def relation_threshold_sq(self) -> Fraction:
-        # (2^((k-1)/2) M~)^2 folded in by the caller, which knows k
-        return self.m_tilde**2
 
 
 @dataclass(frozen=True)

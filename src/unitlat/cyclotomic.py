@@ -240,21 +240,6 @@ def basis_norm_profile(field: CyclotomicField, precision_bits: int = 128) -> dic
     }
 
 
-def field_report(field: CyclotomicField, precision_bits: int = 128) -> dict:
-    gens = cyclotomic_unit_generators(field, precision_bits)
-    return {
-        "m": field.m,
-        "generators": [
-            {"j": g.j, "quotient_index": g.quotient_index, "log": g.log.vector.to_json()}
-            for g in gens
-        ],
-        "rank": log_span_rank(gens),
-        "unit_rank": field.unit_rank,
-        "torsion_order": field.torsion_order,
-        "norm_profile": basis_norm_profile(field, precision_bits),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Alternative period function for totally real fields
 # ---------------------------------------------------------------------------

@@ -304,16 +304,6 @@ def qubit_count_cyclotomic(conductor: int) -> ResourceEstimate:
     )
 
 
-def hsp_note(conductor: int) -> dict:
-    """The conjectural HSP route is reported symbolically only."""
-    return {
-        "model": "hsp-conjectural",
-        "conductor": conductor,
-        "space": "poly(m)",
-        "note": "polynomial time and space assuming the index conjecture; no numeric claim",
-    }
-
-
 def slope_fit(xs, ys) -> float:
     """Least-squares slope of log(y) against log(x)."""
     lx = [math.log(x) for x in xs]

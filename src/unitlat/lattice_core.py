@@ -346,12 +346,12 @@ def op_norm_two_sq(basis: BasisMatrix) -> Fraction:
 def lambda1_dual_bounds(basis: BasisMatrix) -> tuple:
     """Sound rational bounds (lower, upper) on 1/lambda_1 of the dual lattice.
 
-    lower = 2**(-3m) * ||B^t|| in the (inf,1) operator norm; upper = the max
-    row 2-norm of B, rounded up: a nonzero dual vector w has <w, b_i> a
-    nonzero integer for some row b_i, so 1 <= ||w|| ||b_i||.
+    lower = 1 / (the shortest row 2-norm of the dual basis, rounded up): every
+    dual basis row is a nonzero dual vector, so lambda_1(L*) <= its norm.
+    upper = the max row 2-norm of B, rounded up: a nonzero dual vector w has
+    <w, b_i> a nonzero integer for some row b_i, so 1 <= ||w|| ||b_i||.
     """
-    m = basis.m
-    lower = Fraction(1, 1 << (3 * m)) * op_norm(basis.transpose(), "inf_one")
+    lower = 1 / sqrt_upper(min(norm_sq(row) for row in basis.dual().rows))
     upper = op_norm(basis, "two_rowmax")
     assert lower <= upper
     return lower, upper

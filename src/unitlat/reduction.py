@@ -1,10 +1,16 @@
 """Basis reduction and integer normal forms.
 
 lll_reduce runs the LLL algorithm entirely in exact arithmetic, over Z or over
-the norm-Euclidean rings Z[i] and Z[zeta_3] (size reduction by ring-integer
-rounding of the Gram-Schmidt coefficients, Lovasz condition on algebraic
-norms). hnf/snf are exact integer normal forms carrying their unimodular
-transforms.
+the norm-Euclidean rings Z[i] and Z[zeta_3]. Over Z the loop is all-integer:
+it keeps the Gram determinants d_i and lambda_ij = d_{j+1} mu_ij and updates
+them in place (Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 2.6.7); rational rows are scaled by their common denominator first. Over
+Z[i] and Z[zeta_3] it keeps exact Fraction Gram-Schmidt (size reduction by
+ring-integer rounding of the coefficients, Lovasz condition on algebraic
+norms). Both loops size-reduce row k against rows k-1, ..., 0 before the
+Lovasz test and step back to max(k-1, 1) after a swap, so over Z they make
+the same decisions and return the same rows and transform. hnf/snf are exact
+integer normal forms carrying their unimodular transforms.
 """
 
 from __future__ import annotations
@@ -92,6 +98,19 @@ def _ring_rows_from_basis(basis: BasisMatrix, ring: RingDescriptor) -> list:
     ]
 
 
+def _as_delta(delta) -> Fraction:
+    """delta as an exact Fraction; other numbers go through limit_denominator(10**6)."""
+    return delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+
+
+def _check_delta(delta: Fraction, ring: RingDescriptor) -> None:
+    mk = ring.euclidean_minimum
+    if not (mk < delta < 1):
+        raise ParameterError(
+            f"delta must lie in ({mk}, 1) for ring {ring.kind}, got {delta}"
+        )
+
+
 def _gs_row(b: list, ortho: list, i: int):
     """Gram-Schmidt data for row i against the already-orthogonalized prefix."""
     v = list(b[i])
@@ -106,12 +125,12 @@ def _gs_row(b: list, ortho: list, i: int):
 
 
 def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
-    """Exact LLL on a list of ring-element row vectors; returns (rows, transform)."""
-    mk = ring.euclidean_minimum
-    if not (mk < delta < 1):
-        raise ParameterError(
-            f"delta must lie in ({mk}, 1) for ring {ring.kind}, got {delta}"
-        )
+    """Exact LLL on a list of ring-element row vectors; returns (rows, transform).
+
+    Recomputes Fraction Gram-Schmidt rows after every change. lll_reduce uses
+    it for Z[i] and Z[zeta_3]; over Z it is the reference _lll_int matches.
+    """
+    _check_delta(delta, ring)
     n = len(rows)
     b = [list(r) for r in rows]
     one = RingElement(1, 0, ring.kind)
@@ -150,6 +169,90 @@ def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
     return b, u
 
 
+def _lll_int(rows: List[List[int]], delta: Fraction):
+    """Exact LLL over Z on integer rows, in integers only; returns (rows, transform).
+
+    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1) and
+    lam[k][j] = d[j+1] * mu_kj for j < k; both are integers, and every
+    division below is exact. The decisions are those of _lll_rows: row k is
+    size-reduced against k-1, ..., 0 with q = round_half_away(mu_kj), then
+    the Lovasz test d[k+1] d[k-1] + lam^2 >= delta d[k]^2 decides between
+    k + 1 and a swap followed by max(k - 1, 1).
+    """
+    _check_delta(delta, INTEGERS)
+    p, r = delta.numerator, delta.denominator
+    n = len(rows)
+    b = [list(row) for row in rows]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            g = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                g = (d[i + 1] * g - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = g
+            else:
+                d[k + 1] = g
+        if d[k + 1] == 0:
+            raise RankError("rows are dependent over the ring's fraction field")
+
+    k = 1
+    while k < n:
+        lk = lam[k]
+        for j in range(k - 1, -1, -1):
+            # q = round_half_away(lam[k][j] / d[j+1]), in integers
+            c, dj = lk[j], d[j + 1]
+            q = (2 * c + dj) // (2 * dj) if c >= 0 else -((dj - 2 * c) // (2 * dj))
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                lk[j] -= q * dj
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= q * lj[i]
+        lmb = lk[k - 1]
+        t = d[k + 1] * d[k - 1] + lmb * lmb
+        if r * t >= p * d[k] * d[k]:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        lam[k], lam[k - 1] = lam[k - 1] + [lmb], lk[: k - 1]
+        new_dk = t // d[k]
+        for i in range(k + 1, n):
+            li = lam[i]
+            old = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lmb * old) // d[k]
+            li[k - 1] = (new_dk * old + lmb * li[k]) // d[k + 1]
+        d[k] = new_dk
+        k = max(k - 1, 1)
+    return b, u
+
+
+def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
+    """_lll_int on rational rows: scaled to integers by their common
+    denominator D, reduced, divided back by D. mu and the Lovasz test are
+    invariant under the scaling, so the decisions and the transform are those
+    of the unscaled rows."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    red, u = _lll_int(ints, delta)
+    return [[Fraction(x, den) for x in row] for row in red], u
+
+
+def _lll_ring_rows(rows: list, delta: Fraction, ring: RingDescriptor):
+    """LLL on ring-element rows: the integer core over Z, _lll_rows otherwise."""
+    if ring.kind != INTEGERS.kind:
+        return _lll_rows(rows, delta, ring)
+    red, u = _lll_rational([[e.a for e in row] for row in rows], delta)
+    return (
+        [[RingElement(x, 0, ring.kind) for x in row] for row in red],
+        [[RingElement(x, 0, ring.kind) for x in row] for row in u],
+    )
+
+
 def lll_reduce(basis, delta=DEFAULT_DELTA, ring: RingDescriptor = INTEGERS):
     """LLL-reduce a basis over the given ring.
 
@@ -157,17 +260,14 @@ def lll_reduce(basis, delta=DEFAULT_DELTA, ring: RingDescriptor = INTEGERS):
     (reduced, transform) of the same flavour. transform @ input == reduced, and
     the transform is unimodular over the ring (determinant a ring unit).
     """
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+    delta = _as_delta(delta)
     if isinstance(basis, BasisMatrix):
         if ring.kind != INTEGERS.kind:
             raise ValueError("BasisMatrix input implies the integer ring")
-        rows = _ring_rows_from_basis(basis, ring)
-        red, u = _lll_rows(rows, delta, ring)
-        red_mat = BasisMatrix([[e.a for e in row] for row in red])
-        u_mat = BasisMatrix([[e.a for e in row] for row in u])
-        return red_mat, u_mat
+        red, u = _lll_rational(basis.rows, delta)
+        return BasisMatrix(red), BasisMatrix(u)
     if isinstance(basis, OKMatrix):
-        red, u = _lll_rows([list(r) for r in basis.rows], delta, basis.ring)
+        red, u = _lll_ring_rows([list(r) for r in basis.rows], delta, basis.ring)
         return (
             OKMatrix(tuple(tuple(r) for r in red), basis.ring),
             OKMatrix(tuple(tuple(r) for r in u), basis.ring),
@@ -177,14 +277,13 @@ def lll_reduce(basis, delta=DEFAULT_DELTA, ring: RingDescriptor = INTEGERS):
 
 def lll_reduce_rows(rows: Sequence[Sequence[RingElement]], delta, ring: RingDescriptor):
     """LLL on raw ring-element rows (not necessarily square); same contract."""
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
-    red, u = _lll_rows([list(r) for r in rows], delta, ring)
+    red, u = _lll_ring_rows([list(r) for r in rows], _as_delta(delta), ring)
     return [tuple(r) for r in red], [tuple(r) for r in u]
 
 
 def is_reduced(rows, delta, ring: RingDescriptor) -> bool:
     """Exact check of the two reduction conditions (size reduction + Lovasz)."""
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+    delta = _as_delta(delta)
     b = [list(r) for r in rows]
     ortho, mu = [], []
     for i in range(len(b)):
@@ -209,7 +308,7 @@ def check_reduced_bound(basis, delta, ring: RingDescriptor = INTEGERS) -> bool:
     Evaluated exactly by comparing 2m-th powers, with det L the product of the
     Gram-Schmidt norms over the ring.
     """
-    delta = delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
+    delta = _as_delta(delta)
     if isinstance(basis, BasisMatrix):
         rows = _ring_rows_from_basis(basis, ring)
     elif isinstance(basis, OKMatrix):

@@ -160,14 +160,6 @@ class RingElement:
         return cls(Fraction(obj["a"]), Fraction(obj["b"]), obj["ring"])
 
 
-def ring_zero(ring: RingDescriptor) -> RingElement:
-    return RingElement(0, 0, ring.kind)
-
-
-def ring_one(ring: RingDescriptor) -> RingElement:
-    return RingElement(1, 0, ring.kind)
-
-
 def ring_units(ring: RingDescriptor) -> tuple:
     """All units of the ring of integers."""
     if ring.kind == INTEGERS_KIND:

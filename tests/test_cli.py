@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import unitlat
 from unitlat.cli import main
 from unitlat.lattice_core import BasisMatrix
 
@@ -184,10 +186,15 @@ class TestReplayDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports unitlat from where this process found it (pytest's
+        # pythonpath setting does not reach subprocesses)
+        src = os.path.dirname(os.path.dirname(unitlat.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "unitlat.cli", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip()

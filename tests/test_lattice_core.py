@@ -156,7 +156,7 @@ class TestOperatorNorms:
 class TestLambda1DualBounds:
     def test_identity(self):
         lo, hi = lambda1_dual_bounds(BasisMatrix.identity(2))
-        assert (lo, hi) == (F(1, 64), F(1))
+        assert (lo, hi) == (F(1), F(1))
         assert lo <= 1 <= hi  # true 1/lambda_1* = 1
 
     def test_ordered_random(self):
@@ -172,6 +172,14 @@ class TestLambda1DualBounds:
         _, hi = lambda1_dual_bounds(b)
         assert hi**2 * shortest_vector_sq(dual_basis(b)) >= 1
 
+    def test_lower_on_skewed_example(self):
+        # L = L* = Z^2, so 1/lambda_1(L*) = 1; the former 2^(-3m) times
+        # (inf,1)-norm lower gave 1001/64
+        b = BasisMatrix([[F(1), F(0)], [F(1000), F(1)]])
+        lo, _ = lambda1_dual_bounds(b)
+        assert lo**2 * shortest_vector_sq(dual_basis(b)) <= 1
+        assert lo == 1
+
     @given(
         st.integers(2, 4).flatmap(
             lambda m: st.lists(
@@ -186,17 +194,19 @@ class TestLambda1DualBounds:
         )
     )
     @settings(max_examples=150, deadline=None)
-    def test_upper_sound(self, rows):
-        """1/lambda_1(L*) <= upper, i.e. upper^2 lambda_1(L*)^2 >= 1, exactly,
-        on random non-integral non-symmetric bases."""
+    def test_bounds_sound(self, rows):
+        """lower <= 1/lambda_1(L*) <= upper, i.e. lower^2 lambda_1(L*)^2 <= 1
+        <= upper^2 lambda_1(L*)^2, exactly, on random non-integral
+        non-symmetric bases."""
         m = len(rows)
         assume(any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)))
         try:
             b = BasisMatrix(rows)
         except RankError:
             assume(False)
-        _, hi = lambda1_dual_bounds(b)
-        assert hi**2 * shortest_vector_sq(dual_basis(b)) >= 1
+        lo, hi = lambda1_dual_bounds(b)
+        lam_sq = shortest_vector_sq(dual_basis(b))
+        assert lo**2 * lam_sq <= 1 <= hi**2 * lam_sq
 
 
 class TestGramSchmidt:

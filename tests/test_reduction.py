@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,14 +7,18 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from unitlat.lattice_core import BasisMatrix, RankError, norm_sq
+from unitlat.recovery import cyclotomic_log_basis
 from unitlat.reduction import (
     DEFAULT_DELTA,
     OKMatrix,
+    ParameterError,
+    _lll_rows,
     check_reduced_bound,
     hnf,
     hnf_rational,
     is_reduced,
     lll_reduce,
+    lll_reduce_rows,
     snf,
 )
 from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement, hnorm_sq
@@ -99,6 +104,79 @@ class TestIntegerLLL:
         b = BasisMatrix.diagonal([F(1), F(4)])
         assert is_reduced(wrap_rows(b), DEFAULT_DELTA, INTEGERS)
         assert not check_reduced_bound(b, DEFAULT_DELTA, INTEGERS)
+
+
+def rand_rows(rng, n, bits, rational, identity_block):
+    """n random rows with entries up to 2^bits (over small denominators when
+    rational); with identity_block, rows k x (k + m) as bp_reduce builds them."""
+    width = rng.randint(1, 3) if identity_block else n
+    rows = []
+    for i in range(n):
+        top = [
+            F(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 12) if rational else 1)
+            for _ in range(width)
+        ]
+        rows.append(top + [F(int(i == j)) for j in range(n)] if identity_block else top)
+    return rows
+
+
+class TestIntegerCoreMatchesReference:
+    """Over Z, lll_reduce and lll_reduce_rows run the all-integer core; it must
+    return exactly the rows and transform of the Fraction loop _lll_rows."""
+
+    @pytest.mark.parametrize("delta", [F(99, 100), F(3, 4), F(9, 10)])
+    def test_byte_identical(self, delta):
+        rng = random.Random(int(delta * 100))
+        for case in range(32):
+            n = rng.randint(2, 5)
+            # 1-bit entries make rounding ties and Lovasz equalities common
+            bits = (1, 4, 32, 128)[case % 4]
+            rational = case // 4 % 2 == 1
+            identity_block = case // 8 % 2 == 1
+            rows = rand_rows(rng, n, bits, rational, identity_block)
+            ring_rows = [[RingElement(x, 0, INTEGERS.kind) for x in r] for r in rows]
+            try:
+                ref_b, ref_u = _lll_rows(ring_rows, delta, INTEGERS)
+            except RankError:  # small entries can draw dependent rows
+                with pytest.raises(RankError):
+                    lll_reduce_rows(ring_rows, delta, INTEGERS)
+                continue
+            red, u = lll_reduce_rows(ring_rows, delta, INTEGERS)
+            assert red == [tuple(r) for r in ref_b]
+            assert u == [tuple(r) for r in ref_u]
+            if not identity_block:
+                red_m, u_m = lll_reduce(BasisMatrix(rows), delta)
+                assert red_m.rows == tuple(tuple(e.a for e in r) for r in ref_b)
+                assert u_m.rows == tuple(tuple(e.a for e in r) for r in ref_u)
+
+    def test_dependent_rows_raise(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            rows = rand_rows(rng, rng.randint(3, 5), 32, False, False)
+            rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
+            ring_rows = [[RingElement(x, 0, INTEGERS.kind) for x in r] for r in rows]
+            with pytest.raises(RankError):
+                _lll_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
+            with pytest.raises(RankError):
+                lll_reduce_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
+
+    @pytest.mark.parametrize("delta", [F(1, 4), F(1)])
+    def test_delta_out_of_range(self, delta):
+        with pytest.raises(ParameterError):
+            lll_reduce(BasisMatrix.identity(2), delta)
+
+    @pytest.mark.parametrize(
+        "m, digest",
+        [
+            (11, "e90c73840e12fc29879ced2f15b17408e23401340986043e6676c5d6a7963326"),
+            (13, "f7390c9dac4d8ac1ca23c13ff3ea80619c1560b74fb7476081c44f0b8698a328"),
+        ],
+    )
+    def test_cyclotomic_log_basis_pinned(self, m, digest):
+        """bp_reduce output on the cyclotomic log lattice, pinned from the
+        Fraction-loop implementation."""
+        b = cyclotomic_log_basis(m)
+        assert hashlib.sha256(b.dumps().encode()).hexdigest() == digest
 
 
 class TestRingLLL:
