@@ -111,19 +111,17 @@ def lambda1_sq_lower_bound(basis: BasisMatrix) -> Fraction:
     return 1 / op_norm_two_sq(basis.dual())
 
 
-def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix):
-    """Round a point near M* to M*: z = round(B_M^t y), y = z in the dual basis.
+def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
+    """Round a point near M* to M*: z = round(B_M^t y), its coordinates in
+    the dual basis (B_M^t)^-1.
 
     Exact given the fixed-point input; when dist(y_tilde, M*) < 1/(2 ||B_M||_2)
-    the returned point is the closest vector of M*. The dual basis is computed
-    once per basis and kept on it.
+    z gives the closest vector of M*.
     """
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
     y_rat = y_tilde.to_rationals()
-    z = tuple(round_half_away(dot(row, y_rat)) for row in b_m.rows)
-    y = b_m.dual().row_combination(z)
-    return y, z
+    return tuple(round_half_away(dot(row, y_rat)) for row in b_m.rows)
 
 
 _SUPPORT_CACHE: dict = {}

@@ -160,7 +160,7 @@ def bp_reduce(
     q = derived.q if q_bits is None else max(derived.q, q_bits)
     if input_precision_bits < derived.q:
         raise PrecisionError(
-            f"input precision {input_precision_bits} bits < required q = {q}"
+            f"input precision {input_precision_bits} bits < required q = {derived.q}"
         )
 
     one = RingElement(1, 0, ring.kind)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -42,10 +41,8 @@ from .recovery import (
     recover_with_retries,
     regulator_from_basis,
 )
-from .reduction import OKMatrix, check_reduced_bound, is_reduced, lll_reduce
+from .reduction import OKMatrix, is_reduced, lll_reduce
 from .rings import INTEGERS, ring_by_kind
-
-DEFAULT_PRECISION = int(os.environ.get("UNITLAT_PRECISION_BITS", "64"))
 
 
 class CLIUsageError(ValueError):
@@ -219,23 +216,9 @@ def cmd_reduce(args) -> int:
         "transform": transform.to_json(),
     }
     if args.verify:
-        if ring.kind == INTEGERS.kind:
-            ok = check_reduced_bound(reduced, delta, ring)
-            rows = [
-                [_ring_wrap(x, ring) for x in row] for row in reduced.rows
-            ]
-        else:
-            ok = True
-            rows = [list(row) for row in reduced.rows]
-        out["verified"] = bool(ok and is_reduced(rows, delta, ring))
+        out["verified"] = is_reduced(reduced, delta, ring)
     _emit(args, _dump(args, out))
     return 0
-
-
-def _ring_wrap(x, ring):
-    from .rings import RingElement
-
-    return RingElement(x, 0, ring.kind)
 
 
 def cmd_bp(args) -> int:
@@ -283,14 +266,9 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p):
+def _add_seed_precision(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--precision-bits", dest="precision_bits", type=int, default=DEFAULT_PRECISION
-    )
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--verify", action="store_true")
+    p.add_argument("--precision-bits", dest="precision_bits", type=int, default=64)
 
 
 def build_parser() -> _Parser:
@@ -303,7 +281,8 @@ def build_parser() -> _Parser:
         help="recover a hidden lattice from simulated dual samples "
         "(sublattice-assisted rounding or the high-precision baseline)",
     )
-    _add_common(p)
+    _add_seed_precision(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--config", default=None, help="experiment config JSON")
     p.add_argument("--synthetic", action="store_true")
     p.add_argument("--dim", type=int, default=2)
@@ -314,17 +293,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("estimate", help="qubit resource tables (generic vs structured)")
-    _add_common(p)
+    p.add_argument("--format", choices=["json", "csv", "table"], default="table")
+    p.add_argument("--out", default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--logD", type=str, default=None)
     p.add_argument("--cyclotomic", type=int, default=None, metavar="M")
     p.add_argument("--kummer", nargs=2, default=None, metavar=("N", "LOGD"))
     p.add_argument("--compare", action="store_true")
     p.add_argument("--tau-log2", dest="tau_log2", type=int, default=20)
-    p.set_defaults(func=cmd_estimate, format="table")
+    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("reduce", help="exact LLL reduction over Z, Z[i] or Z[w]")
-    _add_common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--verify", action="store_true")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--delta", default="99/100")
     p.add_argument("--ring", choices=["integers", "gaussian", "eisenstein"], default="integers")
@@ -333,12 +314,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "bp", help="reconstruct an exact basis from noisy fixed-point generators"
     )
-    _add_common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--verify", action="store_true")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("sample", help="simulated dual lattice sampler (JSON lines)")
-    _add_common(p)
+    _add_seed_precision(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--verify", action="store_true")
     p.add_argument("--dual", required=True, help="dual basis matrix JSON")
     p.add_argument("--delta", default="0")
     p.add_argument("--eta", default="0")

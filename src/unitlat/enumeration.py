@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .lattice_core import BasisMatrix, common_denominator, gram_schmidt, norm_sq
+from .lattice_core import BasisMatrix, common_denominator, gram_schmidt, integer_rows, norm_sq
 from .reduction import lll_reduce
 
 ENUMERATION_DIM_LIMIT = 8
@@ -68,8 +68,7 @@ def coords_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> Iterator[tuple]:
         yield (0,) * m, 0
         return
 
-    den = common_denominator(basis)
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in basis.rows]
+    den, ints = integer_rows(basis.rows)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in ints] for u in ints]
     den_sq = den * den
     bound = radius_sq.numerator * den_sq // radius_sq.denominator

@@ -1,9 +1,10 @@
 """Exact lattice substrate: rational basis matrices, duals, norms, Gram-Schmidt.
 
-Everything here is exact: matrix entries are `fractions.Fraction`, determinants
-and inverses are computed by fraction-free style elimination, and the only
-place irrational values appear (row 2-norms) they are returned as a rational
-upper bound with relative error below 2**-64 next to the exact square.
+Everything here is exact: matrix entries are `fractions.Fraction`, and
+determinants and inverses come from one fraction-free integer Gauss-Jordan
+on the rows scaled to integers (integer_rows). The only place irrational
+values appear (row 2-norms) they are returned as a rational upper bound with
+relative error below 2**-64 next to the exact square.
 """
 
 from __future__ import annotations
@@ -187,15 +188,23 @@ class BasisMatrix:
         return cls([[es[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)])
 
     def det(self) -> Fraction:
+        """det B = det(D B) / det D, D the diagonal of the row denominators."""
         if self._det is None:
-            self._det, self._inv = _det_and_inverse(self.rows)
+            dens, ints = _scaled_rows(self.rows)
+            self._det = Fraction(_gauss_jordan(ints, self.m), math.prod(dens))
         return self._det
 
     def inverse_rows(self) -> tuple:
+        """B^-1 = (D B)^-1 D, from the Gauss-Jordan of [D B | I], computed once."""
         if self._inv is None:
-            self._det, self._inv = _det_and_inverse(self.rows)
-        if self._inv is None:
-            raise RankError("matrix is singular")
+            m = self.m
+            dens, ints = _scaled_rows(self.rows)
+            aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(ints)]
+            _gauss_jordan(aug, m)
+            p = aug[0][0]  # the left block ends as p I
+            self._inv = tuple(
+                tuple(Fraction(d * x, p) for d, x in zip(dens, row[m:])) for row in aug
+            )
         return self._inv
 
     def transpose(self) -> "BasisMatrix":
@@ -212,11 +221,6 @@ class BasisMatrix:
 
     def matmul(self, other: "BasisMatrix") -> "BasisMatrix":
         return BasisMatrix(_matmul(self.rows, other.rows))
-
-    def apply(self, v: Sequence[Fraction]) -> tuple:
-        """Matrix-vector product B @ v."""
-        assert len(v) == self.m
-        return tuple(dot(row, v) for row in self.rows)
 
     def row_combination(self, coeffs: Sequence[int]) -> tuple:
         """Integer combination of the rows: sum coeffs[i] * rows[i]."""
@@ -244,9 +248,16 @@ class BasisMatrix:
         return cls.from_json(json.loads(s))
 
 
+def integer_rows(rows) -> tuple:
+    """(D, N): D the least common denominator of the rational entries (1 if
+    there are none) and N = D rows, as lists of ints."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def common_denominator(basis: BasisMatrix) -> int:
     """Least common denominator D of the entries: D B is an integer matrix."""
-    return math.lcm(*(x.denominator for row in basis.rows for x in row))
+    return integer_rows(basis.rows)[0]
 
 
 def _frac_str(x: Fraction) -> str:
@@ -258,33 +269,38 @@ def _matmul(a, b):
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
 
 
-def _det_and_inverse(rows):
-    """Exact determinant and inverse via Gauss-Jordan over Fractions.
+def _scaled_rows(rows) -> tuple:
+    """(d, N): d_i the common denominator of row i and N_i = d_i row_i."""
+    pairs = [integer_rows((row,)) for row in rows]
+    return [d for d, _ in pairs], [n for _, (n,) in pairs]
 
-    Returns (det, inverse_rows) with inverse_rows None when singular.
+
+def _gauss_jordan(a: list, m: int) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on integer
+    rows, in place; returns the determinant of the leading m x m block A.
+
+    Step k replaces row i by (p_k a_i - a_ik a_k) / p_{k-1}, p_k the k-th
+    pivot and p_{-1} = 1; every entry is then a minor of the input, so each
+    division is exact. Rows of width m are eliminated below the pivot only
+    (enough for det); wider rows above it too, so [A | I] ends as
+    [p I | p A^-1] with p = +-det. A singular A returns 0.
     """
-    m = len(rows)
-    a = [list(r) for r in rows]
-    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    det = Fraction(1)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+    sign, prev = 1, 1
+    for k in range(m):
+        piv = next((r for r in range(k, m) if a[r][k]), None)
         if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            det = -det
-        p = a[col][col]
-        det *= p
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return det, tuple(tuple(r) for r in inv)
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row_k = a[k]
+        p = row_k[k]
+        for i in range(m) if len(row_k) > m else range(k + 1, m):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = p
+    return sign * prev
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .bdd_sampler import (
+    ConfigurationError,
     SampleRecord,
     SamplerConfig,
     babai_bdd,
@@ -32,10 +33,6 @@ from .lattice_core import (
     sqrt_upper,
 )
 from .reduction import hnf, hnf_rational, snf
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 class InsufficientSamplesError(RuntimeError):
@@ -98,6 +95,22 @@ def compute_k(m: int, lip_log2, detl_log2, alpha: int = 3) -> int:
     return max(k1, k2, m)
 
 
+def _sample_count(problem: "RecoveryProblem", k: Optional[int]) -> int:
+    """k, or by default compute_k from the problem's det L bound."""
+    if k is not None:
+        return k
+    detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
+    return compute_k(problem.b_m.m, 0, detl_log2)
+
+
+def _draw(problem: "RecoveryProblem", k: Optional[int], samples) -> Sequence:
+    """The given samples, or _sample_count(problem, k) fresh sampler draws."""
+    if samples is None:
+        count = _sample_count(problem, k)
+        samples = sample_dual(problem.hidden_dual, problem.sampler, count, problem.precision_bits)
+    return samples
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     b_l: BasisMatrix
@@ -118,13 +131,7 @@ def recover_with_sublattice(
     yields the index, and B_L = (W^t)^-1 B_M.
     """
     m = problem.b_m.m
-    if samples is None:
-        if k is None:
-            detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
-            k = compute_k(m, 0, detl_log2)
-        samples = sample_dual(
-            problem.hidden_dual, problem.sampler, k, problem.precision_bits
-        )
+    samples = _draw(problem, k, samples)
     k = len(samples)
 
     coord_rows = []
@@ -132,8 +139,7 @@ def recover_with_sublattice(
     for s in samples:
         if s.failed:
             failed += 1
-        _, z = babai_bdd(s.y_tilde, problem.b_m)
-        coord_rows.append(list(z))
+        coord_rows.append(list(babai_bdd(s.y_tilde, problem.b_m)))
 
     h, _ = hnf(coord_rows)
     if len(h) < m:
@@ -198,13 +204,7 @@ def recover_baseline(
     if problem.dual_det_bound is None:
         raise ConfigurationError("baseline needs an upper bound on det L*")
     m = problem.b_m.m
-    if samples is None:
-        if k is None:
-            detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
-            k = compute_k(m, 0, detl_log2)
-        samples = sample_dual(
-            problem.hidden_dual, problem.sampler, k, problem.precision_bits
-        )
+    samples = _draw(problem, k, samples)
     k = len(samples)
 
     params = BPParams(mu=problem.lambda1_dual_bound, D=problem.dual_det_bound)
@@ -241,9 +241,7 @@ def precision_gap_report(problem: RecoveryProblem, k: int = None) -> dict:
     Sublattice: the admissible radius is 1 / (2 ||B_M||_2).
     """
     m = problem.b_m.m
-    if k is None:
-        detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
-        k = compute_k(m, 0, detl_log2)
+    k = _sample_count(problem, k)
     lam = float(problem.lambda1_dual_bound)
     det_l = float(problem.det_l_bound)
     b_dual_inf = float(op_norm(problem.hidden_dual, "inf_one"))

@@ -15,12 +15,11 @@ integer normal forms carrying their unimodular transforms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .lattice_core import BasisMatrix, RankError, Rat
+from .lattice_core import BasisMatrix, RankError, Rat, integer_rows
 from .rings import (
     INTEGERS,
     RingDescriptor,
@@ -92,10 +91,14 @@ class OKMatrix:
         return cls(rows, ring)
 
 
-def _ring_rows_from_basis(basis: BasisMatrix, ring: RingDescriptor) -> list:
-    return [
-        [RingElement(x, 0, ring.kind) for x in row] for row in basis.rows
-    ]
+def _ring_rows(basis, ring: RingDescriptor) -> tuple:
+    """(rows, ring) of a BasisMatrix (entries wrapped in the given ring), an
+    OKMatrix (its own ring) or a sequence of ring-element rows."""
+    if isinstance(basis, BasisMatrix):
+        return [[RingElement(x, 0, ring.kind) for x in row] for row in basis.rows], ring
+    if isinstance(basis, OKMatrix):
+        return [list(r) for r in basis.rows], basis.ring
+    return [list(r) for r in basis], ring
 
 
 def _as_delta(delta) -> Fraction:
@@ -236,8 +239,7 @@ def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
     denominator D, reduced, divided back by D. mu and the Lovasz test are
     invariant under the scaling, so the decisions and the transform are those
     of the unscaled rows."""
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    den, ints = integer_rows(rows)
     red, u = _lll_int(ints, delta)
     return [[Fraction(x, den) for x in row] for row in red], u
 
@@ -281,10 +283,14 @@ def lll_reduce_rows(rows: Sequence[Sequence[RingElement]], delta, ring: RingDesc
     return [tuple(r) for r in red], [tuple(r) for r in u]
 
 
-def is_reduced(rows, delta, ring: RingDescriptor) -> bool:
-    """Exact check of the two reduction conditions (size reduction + Lovasz)."""
+def is_reduced(basis, delta, ring: RingDescriptor) -> bool:
+    """Exact check of the two reduction conditions (size reduction + Lovasz).
+
+    basis: a BasisMatrix, an OKMatrix or ring-element rows, as for
+    check_reduced_bound.
+    """
     delta = _as_delta(delta)
-    b = [list(r) for r in rows]
+    b, ring = _ring_rows(basis, ring)
     ortho, mu = [], []
     for i in range(len(b)):
         v, mu_row = _gs_row(b, ortho, i)
@@ -306,15 +312,12 @@ def check_reduced_bound(basis, delta, ring: RingDescriptor = INTEGERS) -> bool:
     """Norm bound ||b_j|| <= (1/(delta - m_K))^(j-1) (det L)^(1/m) for all j.
 
     Evaluated exactly by comparing 2m-th powers, with det L the product of the
-    Gram-Schmidt norms over the ring.
+    Gram-Schmidt norms over the ring. A shape check for the near-cubic family
+    of acceptance criterion 4, not an LLL certificate: LLL does not imply the
+    bound for j >= 2 (diag(1, 4) is reduced and fails it); is_reduced is.
     """
     delta = _as_delta(delta)
-    if isinstance(basis, BasisMatrix):
-        rows = _ring_rows_from_basis(basis, ring)
-    elif isinstance(basis, OKMatrix):
-        rows, ring = [list(r) for r in basis.rows], basis.ring
-    else:
-        rows = [list(r) for r in basis]
+    rows, ring = _ring_rows(basis, ring)
     m = len(rows)
     ortho = []
     for i in range(m):
@@ -394,14 +397,9 @@ def hnf_rational(rows: Sequence[Sequence[Fraction]]) -> tuple:
     rows = [r for r in rows if any(x != 0 for x in r)]
     if not rows:
         return ()
-    lcm = 1
-    for row in rows:
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-    ints = [[int(x * lcm) for x in row] for row in rows]
+    den, ints = integer_rows(rows)
     h, _ = hnf(ints)
-    return tuple(tuple(Fraction(x, lcm) for x in row) for row in h)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in h)
 
 
 def snf(a: Sequence[Sequence[int]]) -> Tuple[list, list, list]:

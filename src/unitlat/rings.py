@@ -26,10 +26,6 @@ class RingDescriptor:
     euclidean_minimum: Fraction
     omega: complex  # complex image of the ring generator (0 for the integers)
 
-    @property
-    def is_real(self) -> bool:
-        return self.kind == INTEGERS_KIND
-
 
 INTEGERS = RingDescriptor(INTEGERS_KIND, Fraction(1, 4), 0j)
 GAUSSIAN = RingDescriptor(GAUSSIAN_KIND, Fraction(1, 2), 1j)

@@ -111,7 +111,7 @@ def test_criterion_02_babai_bdd_guarantee():
             scale = radius * F(99, 100) / sqrt_upper(nsq)
             y = [a + e * scale for a, e in zip(point, pert)]
             y_fp = FixedPointVector.from_rationals(y, 96)
-            _, z = babai_bdd(y_fp, b)
+            z = babai_bdd(y_fp, b)
             if z != z_true:
                 failures += 1
             done += 1

@@ -109,6 +109,14 @@ class TestIntegerBP:
         with pytest.raises(PrecisionError):
             bp_reduce(gens, BPParams(mu=1, D=4))
 
+    def test_precision_error_reports_the_derived_q(self):
+        """The message names the q the input is checked against (6 for two
+        generators of dim 1), not the larger working scale q_bits."""
+        gens = [FixedPointVector((48,), 4), FixedPointVector((80,), 4)]
+        assert BPParams(mu=1, D=4).derive(1, 2).q == 6
+        with pytest.raises(PrecisionError, match=r"4 bits < required q = 6$"):
+            bp_reduce(gens, BPParams(mu=1, D=4), q_bits=200)
+
     def test_too_few_generators(self):
         with pytest.raises(BPRankError):
             bp_reduce([fp([1, 2], 40)], BPParams(mu=1, D=4))

@@ -9,6 +9,8 @@ import pytest
 import unitlat
 from unitlat.cli import main
 from unitlat.lattice_core import BasisMatrix
+from unitlat.reduction import OKMatrix
+from unitlat.rings import GAUSSIAN, RingElement
 
 F = Fraction
 
@@ -146,11 +148,64 @@ class TestReduceBPSample:
         contract = json.loads(lines[-1])["contract"]
         assert contract["coverage"] == 1.0
 
+    def test_reduce_verify_is_the_lll_certificate(self, capsys, tmp_path):
+        """diag(1, 100) is LLL-reduced (it fails only the near-cubic norm
+        shape check), and so is a reduced Gaussian-integer basis."""
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps({"m": 2, "rows": [["1", "0"], ["0", "100"]]}))
+        code, out, _ = run_cli(["reduce", "--in", str(path), "--verify"], capsys)
+        assert code == 0 and json.loads(out)["verified"] is True
+        entries = (((3, 1), (1, 0)), ((0, 2), (5, -1)))
+        gaussian = OKMatrix(
+            tuple(tuple(RingElement(a, b, GAUSSIAN.kind) for a, b in row) for row in entries),
+            GAUSSIAN,
+        )
+        path.write_text(json.dumps(gaussian.to_json()))
+        code, out, _ = run_cli(
+            ["reduce", "--in", str(path), "--ring", "gaussian", "--verify"], capsys
+        )
+        assert code == 0 and json.loads(out)["verified"] is True
+
     def test_malformed_matrix_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         code, _, _ = run_cli(["reduce", "--in", str(path)], capsys)
         assert code == 1
+
+
+class TestRejectedFlags:
+    """Flags a subcommand does not read are usage errors, not ignored."""
+
+    REJECTED = [
+        ("recover", ["--format", "csv"]),
+        ("recover", ["--verify"]),
+        ("estimate", ["--seed", "1"]),
+        ("estimate", ["--precision-bits", "64"]),
+        ("estimate", ["--verify"]),
+        ("reduce", ["--seed", "1"]),
+        ("reduce", ["--precision-bits", "64"]),
+        ("reduce", ["--format", "csv"]),
+        ("bp", ["--seed", "1"]),
+        ("bp", ["--precision-bits", "64"]),
+        ("bp", ["--format", "csv"]),
+        ("sample", ["--format", "csv"]),
+    ]
+    BASE = {
+        "recover": ["recover", "--synthetic"],
+        "estimate": ["estimate", "--cyclotomic", "100"],
+        "reduce": ["reduce", "--in", "mat.json"],
+        "bp": ["bp", "--in", "gens.json"],
+        "sample": ["sample", "--dual", "dual.json"],
+    }
+
+    @pytest.mark.parametrize(
+        "command,flag", REJECTED, ids=[f"{c}{f[0]}" for c, f in REJECTED]
+    )
+    def test_usage_error(self, command, flag, capsys):
+        code, out, err = run_cli(self.BASE[command] + flag, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and flag[0] in err
 
 
 class TestReplayDeterminism:

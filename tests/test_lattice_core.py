@@ -107,6 +107,90 @@ class TestBasisMatrix:
         assert BasisMatrix.loads(b.dumps()).rows == b.rows
 
 
+def fraction_gauss_jordan(rows):
+    """Reference: exact determinant and inverse via Gauss-Jordan over Fractions.
+
+    Returns (det, inverse_rows) with inverse_rows None when singular.
+    """
+    m = len(rows)
+    a = [list(r) for r in rows]
+    inv = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    det = Fraction(1)
+    for col in range(m):
+        piv = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+            det = -det
+        p = a[col][col]
+        det *= p
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(m):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return det, tuple(tuple(r) for r in inv)
+
+
+def rand_rational_rows(rng, m):
+    """m x m rows with numerators of 2-130 bits over denominators up to 2^40;
+    about one in ten has a row that is a rational combination of the others."""
+    num_bits, den_bits = rng.randint(2, 130), rng.randint(0, 40)
+    rows = [
+        [F(rng.randint(-(2**num_bits), 2**num_bits), rng.randint(1, 2**den_bits))
+         for _ in range(m)]
+        for _ in range(m)
+    ]
+    if rng.random() < 0.1:
+        i = rng.randrange(m)
+        coeffs = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        rows[i] = [
+            sum((c * row[j] for k, (c, row) in enumerate(zip(coeffs, rows)) if k != i), F(0))
+            for j in range(m)
+        ]
+    return rows
+
+
+class TestIntegerGaussJordanMatchesReference:
+    def test_random_rational_matrices(self):
+        """det, inverse, dual, transpose and matmul equal the Fraction
+        Gauss-Jordan reference on 2,000 seeded matrices of dims 1-9; singular
+        ones raise RankError."""
+        rng = random.Random(2026)
+        singular = 0
+        for _ in range(2000):
+            m = rng.randint(1, 9)
+            rows = rand_rational_rows(rng, m)
+            det, inv = fraction_gauss_jordan(rows)
+            if det == 0:
+                singular += 1
+                with pytest.raises(RankError):
+                    BasisMatrix(rows)
+                continue
+            b = BasisMatrix(rows)
+            assert b.det() == det
+            assert b.inverse_rows() == inv
+            dual = b.dual()
+            assert dual.rows == tuple(zip(*inv)) and dual.det() == 1 / det
+            t = b.transpose()
+            assert t.rows == tuple(zip(*b.rows)) and t.det() == det
+            # unit upper-triangular integer shear: det(B U) = det B
+            u = BasisMatrix(
+                [[F(int(i == j) if j <= i else rng.randint(-3, 3)) for j in range(m)]
+                 for i in range(m)]
+            )
+            prod = b.matmul(u)
+            assert prod.rows == tuple(
+                tuple(dot(r, c) for c in zip(*u.rows)) for r in b.rows
+            )
+            assert prod.det() == det
+        assert 150 <= singular <= 250
+
+
 class TestDual:
     def test_identity_self_dual(self):
         b = BasisMatrix.identity(2)
