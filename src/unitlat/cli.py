@@ -76,6 +76,22 @@ def _emit(args, text: str):
         print(text)
 
 
+def _reject_unread(args, why: str, *dests: str):
+    """Usage error if any of these flags was given: the chosen mode ignores it."""
+    for dest in dests:
+        if getattr(args, dest) not in (None, False):
+            raise CLIUsageError(f"--{dest.replace('_', '-')} {why}")
+
+
+def _fill_defaults(args, **defaults):
+    """Mode-specific flags parse to None so that a given flag can be told from
+    an absent one; their defaults are filled in once the mode is checked, so
+    the namespace (and config_hash) is the one plain defaults would give."""
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
+
+
 def _dump(args, obj: dict) -> str:
     obj = dict(obj)
     obj["provenance"] = _provenance(args)
@@ -88,6 +104,14 @@ def _dump(args, obj: dict) -> str:
 
 
 def cmd_recover(args) -> int:
+    if args.synthetic:
+        _reject_unread(args, "is not read with --synthetic", "precision_bits")
+    else:
+        _reject_unread(args, "requires --synthetic", "dim", "index")
+    if args.config:
+        _reject_unread(args, "is not read with --config (its mode key decides)", "baseline")
+    _fill_defaults(args, dim=2, index=1, precision_bits=64)
+
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -104,18 +128,16 @@ def cmd_recover(args) -> int:
             )
         baseline = mode == "baseline"
         conductor = inst.get("conductor")
-    elif args.cyclotomic:
+    elif args.cyclotomic is not None:
         problem = build_cyclotomic_problem(
             args.cyclotomic, args.precision_bits, args.seed
         )
         baseline = args.baseline
         conductor = args.cyclotomic
-    elif args.synthetic:
+    else:
         problem = make_planted_problem(args.dim, args.index, args.seed)
         baseline = args.baseline
         conductor = None
-    else:
-        raise CLIUsageError("choose one of --config, --cyclotomic, --synthetic")
 
     if baseline:
         res = recover_baseline(problem, k=args.k)
@@ -161,8 +183,16 @@ def cmd_recover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.m is None:
+        _reject_unread(args, "requires --m", "logD")
+    if args.cyclotomic is None:
+        _reject_unread(args, "requires --cyclotomic", "compare")
+    elif not args.compare:
+        _reject_unread(args, "is not read with --cyclotomic unless --compare is given", "tau_log2")
+    _fill_defaults(args, tau_log2=20)
+
     estimates = []
-    if args.cyclotomic:
+    if args.cyclotomic is not None:
         if args.compare:
             estimates.append(qubit_count_generic(
                 cyclotomic_generic_profile(args.cyclotomic), args.tau_log2
@@ -173,7 +203,7 @@ def cmd_estimate(args) -> int:
         estimates.append(
             qubit_count_generic(totally_real_profile(int(n), Fraction(logd)), args.tau_log2)
         )
-    elif args.m is not None:
+    else:
         if args.logD is None:
             raise CLIUsageError("--m requires --logD")
         estimates.append(
@@ -181,8 +211,6 @@ def cmd_estimate(args) -> int:
                 totally_real_profile(args.m + 1, Fraction(args.logD)), args.tau_log2
             )
         )
-    else:
-        raise CLIUsageError("choose a profile: --m/--logD, --cyclotomic or --kummer")
 
     if args.format == "csv":
         _emit(args, render_csv(estimates))
@@ -266,11 +294,6 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_seed_precision(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--precision-bits", dest="precision_bits", type=int, default=64)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="unitlat", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -281,26 +304,31 @@ def build_parser() -> _Parser:
         help="recover a hidden lattice from simulated dual samples "
         "(sublattice-assisted rounding or the high-precision baseline)",
     )
-    _add_seed_precision(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None,
+                   help="default 64; not with --synthetic")
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--index", type=int, default=1)
-    p.add_argument("--cyclotomic", type=int, default=None, metavar="M")
-    p.add_argument("--baseline", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--config", default=None, help="experiment config JSON")
+    mode.add_argument("--synthetic", action="store_true")
+    mode.add_argument("--cyclotomic", type=int, default=None, metavar="M")
+    p.add_argument("--dim", type=int, default=None, help="default 2; --synthetic only")
+    p.add_argument("--index", type=int, default=None, help="default 1; --synthetic only")
+    p.add_argument("--baseline", action="store_true", help="not with --config")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("estimate", help="qubit resource tables (generic vs structured)")
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
     p.add_argument("--out", default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--logD", type=str, default=None)
-    p.add_argument("--cyclotomic", type=int, default=None, metavar="M")
-    p.add_argument("--kummer", nargs=2, default=None, metavar=("N", "LOGD"))
-    p.add_argument("--compare", action="store_true")
-    p.add_argument("--tau-log2", dest="tau_log2", type=int, default=20)
+    profile = p.add_mutually_exclusive_group(required=True)
+    profile.add_argument("--m", type=int, default=None)
+    profile.add_argument("--cyclotomic", type=int, default=None, metavar="M")
+    profile.add_argument("--kummer", nargs=2, default=None, metavar=("N", "LOGD"))
+    p.add_argument("--logD", type=str, default=None, help="--m only")
+    p.add_argument("--compare", action="store_true", help="--cyclotomic only")
+    p.add_argument("--tau-log2", dest="tau_log2", type=int, default=None,
+                   help="default 20; with --cyclotomic only if --compare")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("reduce", help="exact LLL reduction over Z, Z[i] or Z[w]")
@@ -320,7 +348,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bp)
 
     p = sub.add_parser("sample", help="simulated dual lattice sampler (JSON lines)")
-    _add_seed_precision(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--precision-bits", dest="precision_bits", type=int, default=64)
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--dual", required=True, help="dual basis matrix JSON")

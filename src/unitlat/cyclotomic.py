@@ -1,20 +1,20 @@
 """Cyclotomic unit generators, logarithmic embeddings and period checks.
 
-Conductor-m data is exact integer arithmetic; the transcendental part
-(log |1 - zeta^j| values) runs on mpmath interval arithmetic so every reported
-coordinate carries a proven radius, re-evaluated at higher precision when a
-cancellation eats into the target.
+Conductor-m data is exact integer arithmetic. The transcendental part rests
+on the Galois action sigma_b(1 - zeta^j) = 1 - zeta^(b j): every generator
+coordinate is a signed sum of entries of one table T[r] = log|1 - zeta^r|,
+r = 1..m-1, evaluated once per conductor as mpmath intervals. Each coordinate
+carries a proven radius; when one is too wide for the requested precision the
+whole table is rebuilt at double the working precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .lattice_core import FixedPointVector, round_half_away
+from .lattice_core import FixedPointVector
 
 
 class PrecisionEscalation(RuntimeError):
@@ -89,22 +89,10 @@ class CyclotomicField:
 
 
 @dataclass(frozen=True)
-class LogVector:
-    """log|sigma_a(u)| per embedding representative, in fixed point."""
-
-    vector: FixedPointVector
-    precision_bits: int
-
-    def to_floats(self) -> tuple:
-        return self.vector.to_floats()
-
-
-@dataclass(frozen=True)
 class UnitGenerator:
     j: int
     quotient_index: int  # index into field.cofactors, -1 for the plain form
-    is_unit: bool
-    log: LogVector
+    log: FixedPointVector  # log|sigma_a(v_j)| per embedding representative
 
 
 def generator_shape(field: CyclotomicField, j: int) -> Tuple[int, bool]:
@@ -127,35 +115,27 @@ def generator_shape(field: CyclotomicField, j: int) -> Tuple[int, bool]:
     return i, d == p**a
 
 
-def _product_exponents(field: CyclotomicField, j: int, quotient_index: int) -> Dict[int, int]:
-    """Exponent map t -> e for v_j as a product of (1 - zeta^t) factors."""
-    if quotient_index < 0:
-        return {j: 1}
-    mi = field.cofactors[quotient_index]
-    if j == mi:
-        return {}
-    return {j: 1, mi: -1}
-
-
 def log_embedding(
-    exponents: Dict[int, int],
+    products: Sequence[Dict[int, int]],
     field: CyclotomicField,
     precision_bits: int = 128,
     max_bits: int = 4096,
-) -> LogVector:
-    """Log vector of prod_t (1 - zeta_m^t)^e_t with certified precision.
+) -> List[FixedPointVector]:
+    """Log vectors of prod_t (1 - zeta_m^t)^e_t, one per exponent map, certified.
 
-    Each coordinate is evaluated as an mpmath interval; if any interval is
-    wider than 2**-precision_bits the working precision is doubled (up to
-    max_bits) before giving up with PrecisionEscalation.
+    sigma_a(1 - zeta^t) = 1 - zeta^(a t), so every coordinate is a sum of
+    table entries T[r] = log|1 - zeta^r| = log(2 sin(pi r / m)), r = 1..m-1,
+    evaluated once as mpmath intervals. If any coordinate interval is wider
+    than 2**-precision_bits the table is rebuilt at twice the working
+    precision (up to max_bits) before giving up with PrecisionEscalation.
     """
     import mpmath
     from mpmath import iv, mp
 
     m = field.m
-    for t in exponents:
-        if t % m == 0:
-            raise DomainError("factor 1 - zeta^0 vanishes at every embedding")
+    if any(t % m == 0 for exps in products for t in exps):
+        raise DomainError("factor 1 - zeta^0 vanishes at every embedding")
+    reps = field.embedding_representatives
     work = precision_bits + 32
     target = mpmath.mpf(2) ** (-precision_bits)
     while True:
@@ -163,26 +143,19 @@ def log_embedding(
         try:
             mp.prec = work
             iv.prec = work
-            coords = []
-            ok = True
-            for a in field.embedding_representatives:
-                acc = iv.mpf(0)
-                for t, e in exponents.items():
-                    # |1 - zeta^(a t)| = 2 |sin(pi a t / m)|
-                    angle = iv.pi * (a * t % m) / m
-                    acc += e * iv.log(2 * iv.sin(angle))
-                if acc.delta > target:
-                    ok = False
-                    break
-                coords.append(acc.mid)
-            if ok:
-                mantissas = tuple(
-                    int(mpmath.nint(c * mpmath.mpf(2) ** precision_bits))
-                    for c in coords
-                )
-                return LogVector(
-                    FixedPointVector(mantissas, precision_bits), precision_bits
-                )
+            table = [None] + [iv.log(2 * iv.sin(iv.pi * r / m)) for r in range(1, m)]
+            logs = [
+                [sum((e * table[a * t % m] for t, e in exps.items()), iv.mpf(0)) for a in reps]
+                for exps in products
+            ]
+            if all(c.delta <= target for row in logs for c in row):
+                scale = mpmath.mpf(2) ** precision_bits
+                return [
+                    FixedPointVector(
+                        tuple(int(mpmath.nint(c.mid * scale)) for c in row), precision_bits
+                    )
+                    for row in logs
+                ]
         finally:
             mp.prec = old
             iv.prec = old
@@ -198,19 +171,25 @@ def cyclotomic_unit_generators(
 ) -> List[UnitGenerator]:
     """The generators v_j of the cyclotomic unit lattice with their Log vectors.
 
-    Indices whose quotient form fails to be a unit (zeta^j of strictly smaller
-    prime-power order than the divided-out factor) are dropped: they do not lie
-    in the unit group, so their logs would leave the Dirichlet hyperplane.
+    v_j is 1 - zeta^j, or (1 - zeta^j)/(1 - zeta^(m_i)) when the cofactor m_i
+    divides j (1 when j = m_i). Indices whose quotient form fails to be a unit
+    (zeta^j of strictly smaller prime-power order than the divided-out factor)
+    are dropped: they do not lie in the unit group, so their logs would leave
+    the Dirichlet hyperplane.
     """
-    out = []
+    shapes, products = [], []
     for j in range(1, field.m):
         qi, unit = generator_shape(field, j)
         if not unit:
             continue
-        exps = _product_exponents(field, j, qi)
-        log = log_embedding(exps, field, precision_bits)
-        out.append(UnitGenerator(j, qi, unit, log))
-    return out
+        exps = {j: 1}
+        if qi >= 0:
+            mi = field.cofactors[qi]
+            exps = {} if j == mi else {j: 1, mi: -1}
+        shapes.append((j, qi))
+        products.append(exps)
+    logs = log_embedding(products, field, precision_bits)
+    return [UnitGenerator(j, qi, log) for (j, qi), log in zip(shapes, logs)]
 
 
 def log_span_rank(generators: Sequence[UnitGenerator], tol: float = 1e-8) -> int:

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cyclotomic import euler_phi
 
@@ -35,9 +34,7 @@ class ProfileError(ValueError):
 class FieldProfile:
     """Shape parameters of a number field as the estimator sees it.
 
-    n: degree; (n1, n2): signature; m: unit rank; d_log2: log2 |discriminant|;
-    r_log2: log2 regulator when known; conductor set for cyclotomic profiles;
-    h_plus: user-supplied bound on the real class number (not computed here).
+    n: degree; (n1, n2): signature; m: unit rank; d_log2: log2 |discriminant|.
     """
 
     n: int
@@ -45,9 +42,6 @@ class FieldProfile:
     n2: int
     m: int
     d_log2: Fraction
-    r_log2: Optional[Fraction] = None
-    conductor: Optional[int] = None
-    h_plus: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "d_log2", Fraction(self.d_log2))
@@ -72,7 +66,7 @@ def cyclotomic_generic_profile(conductor: int) -> FieldProfile:
     """
     m = conductor
     d_log2 = Fraction(m - 2) * _log2f(m)
-    return FieldProfile(n=m + 1, n1=m + 1, n2=0, m=m, d_log2=d_log2, conductor=conductor)
+    return FieldProfile(n=m + 1, n1=m + 1, n2=0, m=m, d_log2=d_log2)
 
 
 def oracle_params(profile: FieldProfile) -> dict:
@@ -137,12 +131,7 @@ class ResourceEstimate:
     k: int
     terms: tuple  # six summands of the total qubit count
     lip_log2: Fraction
-    s_log2: Fraction
-    nu_log2: Fraction
-    r_log2: Fraction
-    epsilon: Fraction
     leading_term: Fraction
-    note: str = CONSTANT_CONVENTION
 
     @property
     def total(self) -> Fraction:
@@ -165,8 +154,8 @@ class ResourceEstimate:
             "total": float(self.total),
             "total_log10": self.total_log10,
             "lip_log2": float(self.lip_log2),
-            "epsilon": str(self.epsilon),
-            "note": self.note,
+            "epsilon": str(EPSILON),
+            "note": CONSTANT_CONVENTION,
         }
 
 
@@ -237,8 +226,7 @@ def qubit_count_generic(profile: FieldProfile, tau_log2: Fraction) -> ResourceEs
     """
     tau_log2 = Fraction(tau_log2)
     m = profile.m
-    params = oracle_params(profile)
-    lip = params["lip_log2"]
+    lip = oracle_params(profile)["lip_log2"]
     inv_lam = lambda1_dual_inv_log2(profile)
 
     from .recovery import compute_k
@@ -266,10 +254,6 @@ def qubit_count_generic(profile: FieldProfile, tau_log2: Fraction) -> ResourceEs
         k=k,
         terms=terms,
         lip_log2=lip,
-        s_log2=params["s_log2"],
-        nu_log2=params["nu_log2"],
-        r_log2=params["r_log2"],
-        epsilon=EPSILON,
         leading_term=mf**5,
     )
 
@@ -285,8 +269,6 @@ def qubit_count_cyclotomic(conductor: int) -> ResourceEstimate:
     log_m = _log2f(m)
     q = Fraction(m) * log_m
     terms = (Fraction(0),) * 5 + (q * m,)
-    profile = cyclotomic_generic_profile(m)
-    params = oracle_params(profile)
     return ResourceEstimate(
         model="cyclotomic",
         m=m,
@@ -295,11 +277,7 @@ def qubit_count_cyclotomic(conductor: int) -> ResourceEstimate:
         q=q,
         k=0,
         terms=terms,
-        lip_log2=params["lip_log2"],
-        s_log2=params["s_log2"],
-        nu_log2=params["nu_log2"],
-        r_log2=params["r_log2"],
-        epsilon=EPSILON,
+        lip_log2=oracle_params(cyclotomic_generic_profile(m))["lip_log2"],
         leading_term=q * m,
     )
 

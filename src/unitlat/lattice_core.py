@@ -81,15 +81,17 @@ def nth_root_upper(x: Fraction, n: int, bits: int = ROOT_BITS) -> Fraction:
     scale = 1 << bits
     p, q = x.numerator, x.denominator
     target = p * q ** (n - 1) * scale**n
-    # 2^ceil(bitlen/n) >= target^(1/n), overflow-safe for huge integers
-    lo, hi = 0, 1 << (-(-target.bit_length() // n))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return Fraction(hi, q * scale)
+    # integer Newton from 2^ceil(bitlen/n) >= target^(1/n) decreases to the
+    # floor root and stops there; one more step up gives the ceiling
+    r = 1 << (-(-target.bit_length() // n))
+    while True:
+        s = ((n - 1) * r + target // r ** (n - 1)) // n
+        if s >= r:
+            break
+        r = s
+    if r**n < target:
+        r += 1
+    return Fraction(r, q * scale)
 
 
 def round_half_away(x: Fraction) -> int:

@@ -292,7 +292,7 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     gens = cyclotomic_unit_generators(field, precision_bits)
     rows = []
     for g in gens:
-        mants = g.log.vector.mantissas[:rank]
+        mants = g.log.mantissas[:rank]
         if any(mants):
             rows.append(FixedPointVector(mants, precision_bits))
     if len(rows) < rank:

@@ -207,6 +207,52 @@ class TestRejectedFlags:
         assert out == ""
         assert err.startswith("usage error:") and flag[0] in err
 
+    # (argv, the flag the error names): two modes at once, or a flag the
+    # chosen mode does not read; no file is opened before the check
+    MODE_REJECTED = [
+        (["recover", "--cyclotomic", "5", "--dim", "3", "--index", "7"], "--dim"),
+        (["recover", "--cyclotomic", "5", "--index", "7"], "--index"),
+        (["recover", "--config", "c.json", "--dim", "3"], "--dim"),
+        (["recover", "--synthetic", "--precision-bits", "999"], "--precision-bits"),
+        (["recover", "--config", "c.json", "--baseline"], "--baseline"),
+        (["recover", "--config", "c.json", "--cyclotomic", "5", "--baseline"], "--cyclotomic"),
+        (["recover", "--synthetic", "--cyclotomic", "5"], "--cyclotomic"),
+        (["estimate", "--cyclotomic", "101", "--kummer", "3", "5", "--logD", "7"], "--kummer"),
+        (["estimate", "--cyclotomic", "101", "--logD", "7"], "--logD"),
+        (["estimate", "--kummer", "3", "5", "--logD", "7"], "--logD"),
+        (["estimate", "--m", "2", "--logD", "3", "--compare"], "--compare"),
+        (["estimate", "--kummer", "3", "5", "--compare"], "--compare"),
+        (["estimate", "--cyclotomic", "101", "--tau-log2", "99"], "--tau-log2"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,flag", MODE_REJECTED, ids=[" ".join(a) for a, _ in MODE_REJECTED]
+    )
+    def test_flag_unread_by_mode(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
+    def test_tau_log2_read_where_it_counts(self, capsys):
+        outs = []
+        for tau in ("20", "60"):
+            code, out, _ = run_cli(
+                ["estimate", "--cyclotomic", "101", "--compare", "--tau-log2", tau], capsys
+            )
+            assert code == 0
+            outs.append(out)
+        _, default, _ = run_cli(["estimate", "--cyclotomic", "101", "--compare"], capsys)
+        assert outs[0] == default != outs[1]
+
+    def test_config_hash_keeps_plain_defaults(self, capsys):
+        """Mode-specific defaults are filled in after the check, so the hashed
+        namespace is unchanged (value computed before the check existed)."""
+        _, out, _ = run_cli(
+            ["recover", "--cyclotomic", "5", "--precision-bits", "128", "--seed", "1"], capsys
+        )
+        assert json.loads(out)["provenance"]["config_hash"] == "1d13a4919db400ad"
+
 
 class TestReplayDeterminism:
     CASES = [

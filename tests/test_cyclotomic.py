@@ -1,11 +1,13 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from unitlat.cyclotomic import (
     CyclotomicField,
     DomainError,
+    PrecisionEscalation,
     alt_period_check,
     basis_norm_profile,
     cyclotomic_unit_generators,
@@ -77,7 +79,7 @@ class TestGeneratorShape:
 class TestLogEmbedding:
     def test_m5_golden_ratio(self):
         f = CyclotomicField(5)
-        vec = log_embedding({2: 1, 1: -1}, f, 96)
+        (vec,) = log_embedding([{2: 1, 1: -1}], f, 96)
         vals = vec.to_floats()
         assert abs(vals[0] - math.log(GOLDEN)) < 1e-12
         assert abs(vals[1] + math.log(GOLDEN)) < 1e-12
@@ -89,12 +91,37 @@ class TestLogEmbedding:
             for g in cyclotomic_unit_generators(f, 96):
                 # exact mantissa arithmetic: the sum vanishes to within one
                 # rounding ulp per coordinate
-                total = sum(g.log.vector.mantissas)
-                assert abs(total) <= g.log.vector.dim
+                total = sum(g.log.mantissas)
+                assert abs(total) <= g.log.dim
 
     def test_zero_order_rejected(self):
         with pytest.raises(DomainError):
-            log_embedding({5: 1}, CyclotomicField(5), 64)
+            log_embedding([{5: 1}], CyclotomicField(5), 64)
+
+    def test_wide_coordinate_escalates(self):
+        """An exponent of 2^40 widens each interval past 2^-64 at 96 working
+        bits; the rebuilt table certifies it, and a cap below the rebuild
+        raises PrecisionEscalation."""
+        f = CyclotomicField(5)
+        with pytest.raises(PrecisionEscalation):
+            log_embedding([{1: 2**40}], f, 64, max_bits=100)
+        (vec,) = log_embedding([{1: 2**40}], f, 64)
+        with mpmath.workdps(60):
+            expect = tuple(
+                int(mpmath.nint(2**40 * mpmath.log(2 * mpmath.sin(mpmath.pi * a / 5)) * 2**64))
+                for a in f.embedding_representatives
+            )
+        assert vec.mantissas == expect
+
+    @pytest.mark.parametrize("m", [12, 25, 101])
+    def test_one_table_per_conductor(self, m, monkeypatch):
+        """Every generator of a conductor is read from m - 1 interval log-sines."""
+        calls = []
+        log = mpmath.iv.log
+        monkeypatch.setattr(mpmath.iv, "log", lambda x: calls.append(x) or log(x))
+        gens = cyclotomic_unit_generators(CyclotomicField(m), 64)
+        assert len(calls) == m - 1
+        assert len(gens) > 1
 
 
 class TestRank:
@@ -108,7 +135,7 @@ class TestRank:
         """Keeping the norm-4 element at m=12 would push the span off the
         trace-zero hyperplane."""
         f = CyclotomicField(12)
-        vec = log_embedding({6: 1, 4: -1}, f, 96)
+        (vec,) = log_embedding([{6: 1, 4: -1}], f, 96)
         assert abs(sum(vec.to_floats())) > 0.1
 
 

@@ -39,6 +39,25 @@ def rand_basis(rng, dim, lo=-9, hi=9):
             continue
 
 
+def bisection_nth_root_upper(x, n, bits=64):
+    """Reference for nth_root_upper: the least integer h with h^n >= target,
+    by bisection, over the same scaled target p q^(n-1) 2^(bits n)."""
+    x = F(x)
+    if x == 0 or n == 1:
+        return x
+    scale = 1 << bits
+    p, q = x.numerator, x.denominator
+    target = p * q ** (n - 1) * scale**n
+    lo, hi = 0, 1 << (-(-target.bit_length() // n))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**n >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return F(hi, q * scale)
+
+
 class TestRoots:
     @given(st.fractions(min_value=0, max_value=10**9))
     @settings(max_examples=200, deadline=None)
@@ -63,6 +82,28 @@ class TestRoots:
     def test_nth_root_upper(self, x, n):
         up = nth_root_upper(x, n)
         assert up**n >= x
+
+    @given(
+        st.integers(min_value=1, max_value=2**2500),
+        st.integers(min_value=1, max_value=2**2500),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0, 1, 8, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nth_root_upper_matches_bisection(self, p, q, n, bits):
+        """Thousands-of-bit operands: the reference value, an upper bound, and
+        the documented relative error up <= x^(1/n) (1 + 2^-bits)."""
+        x = F(p, q)
+        up = nth_root_upper(x, n, bits)
+        assert up == bisection_nth_root_upper(x, n, bits)
+        assert up**n >= x
+        assert up**n <= x * (1 + F(1, 2**bits)) ** n
+
+    def test_nth_root_upper_exact_on_perfect_powers(self):
+        for b in (1, 2, 3, 10**40 + 7):
+            for n in (2, 3, 7):
+                assert nth_root_upper(F(b**n, 5**n), n) == F(b, 5)
+                assert nth_root_upper(F(b**n + 1), n) == bisection_nth_root_upper(F(b**n + 1), n)
 
     def test_round_half_away_ties(self):
         assert round_half_away(F(1, 2)) == 1
