@@ -18,6 +18,7 @@ from typing import List, Sequence
 
 from .lattice_core import (
     BasisMatrix,
+    ConfigurationError,
     FixedPointVector,
     common_denominator,
     dot,
@@ -27,10 +28,6 @@ from .lattice_core import (
     sqrt_lower,
 )
 from .enumeration import ENUMERATION_DIM_LIMIT, lattice_points_in_ball, shortest_vector_sq
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
-from .lattice_core import FixedPointVector, round_half_away, sqrt_upper
+from .lattice_core import (
+    FixedPointVector,
+    PrecisionError,
+    RankError,
+    nth_root_upper,
+    sqrt_upper,
+)
 from .reduction import DEFAULT_DELTA, lll_reduce_rows
 from .rings import INTEGERS, RingDescriptor, RingElement, hnorm_sq
-
-
-class PrecisionError(ValueError):
-    """Input carries fewer trusted fractional bits than the bound q demands."""
-
-
-class BPRankError(ValueError):
-    """Generators do not span a rank-m lattice (or too many relations found)."""
 
 
 def hermite_constant_upper(m: int) -> Fraction:
@@ -65,8 +63,6 @@ class BPParams:
         return 1 / (self.delta - self.ring.euclidean_minimum)
 
     def derive(self, m: int, k: int) -> "DerivedBounds":
-        from .lattice_core import nth_root_upper
-
         b = self.c_k**m * nth_root_upper(self.D, m)
         c = (b / self.mu) ** m * sqrt_upper(hermite_constant_upper(m))
         m_tilde = (Fraction(k) * sqrt_upper(Fraction(m)) / 2 + sqrt_upper(Fraction(k))) * c
@@ -76,16 +72,13 @@ class BPParams:
             * sqrt_upper(Fraction(2) ** (k - 1))
             / self.mu
         )
-        return DerivedBounds(b, c, m_tilde, max(q, 1))
+        return DerivedBounds(m_tilde, max(q, 1))
 
 
 @dataclass(frozen=True)
 class DerivedBounds:
-    basis_norm_bound: Fraction  # B
-    minima_bound_factor: Fraction  # C
     m_tilde: Fraction
     q: int
-
 
 
 @dataclass(frozen=True)
@@ -154,7 +147,7 @@ def bp_reduce(
             raise ValueError("ring-element generators need input_precision_bits")
     m = len(rows_val[0])
     if k < m:
-        raise BPRankError(f"need at least m={m} generators, got {k}")
+        raise RankError(f"need at least m={m} generators, got {k}")
 
     derived = params.derive(m, k)
     q = derived.q if q_bits is None else max(derived.q, q_bits)
@@ -181,7 +174,7 @@ def bp_reduce(
     n_rel = k - m
     for j in range(n_rel, k):
         if top_norms[j] <= thr_sq:
-            raise BPRankError(
+            raise RankError(
                 "more than k - m short columns: generators rank deficient "
                 "or precision bound violated"
             )

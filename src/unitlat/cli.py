@@ -2,7 +2,8 @@
 sampling and resource estimation, with deterministic seeded replay.
 
 Exit codes: 0 success, 1 malformed input or usage, 2 insufficient samples
-(retry with a fresh seed), 3 contract violation (index bound exceeded).
+(retry with a fresh seed), 3 contract violation (index bound exceeded). main
+alone turns errors into exit codes; any other UnitlatError exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import __version__
 from .bdd_sampler import (
     SamplerConfig,
     dump_samples,
-    load_samples,
     sample_dual,
     verify_sampler_contract,
 )
@@ -31,7 +31,7 @@ from .estimator import (
     render_table,
     totally_real_profile,
 )
-from .lattice_core import BasisMatrix, FixedPointVector
+from .lattice_core import BasisMatrix, ConfigurationError, FixedPointVector, UnitlatError
 from .recovery import (
     ContractViolationError,
     InsufficientSamplesError,
@@ -45,8 +45,19 @@ from .reduction import OKMatrix, is_reduced, lll_reduce
 from .rings import INTEGERS, ring_by_kind
 
 
-class CLIUsageError(ValueError):
-    pass
+class CLIUsageError(ConfigurationError):
+    """Bad command line: printed as "usage error:", exit 1."""
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --k and --count; a non-integer is reported as by int."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,14 +164,7 @@ def cmd_recover(args) -> int:
         _emit(args, _dump(args, out))
         return 0
 
-    try:
-        res = recover_with_retries(problem, k=args.k)
-    except InsufficientSamplesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ContractViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    res = recover_with_retries(problem, k=args.k)
     out = {
         "mode": "sublattice",
         "index": res.index,
@@ -315,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None, help="default 2; --synthetic only")
     p.add_argument("--index", type=int, default=None, help="default 1; --synthetic only")
     p.add_argument("--baseline", action="store_true", help="not with --config")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("estimate", help="qubit resource tables (generic vs structured)")
@@ -357,7 +361,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", default="0")
     p.add_argument("--sigma", default="1")
     p.add_argument("--r", default="4")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_positive_int, default=100)
     p.set_defaults(func=cmd_sample)
 
     return parser
@@ -374,7 +378,13 @@ def main(argv=None) -> int:
     except CLIUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except InsufficientSamplesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ContractViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except (UnitlatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,15 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .lattice_core import FixedPointVector
-
-
-class PrecisionEscalation(RuntimeError):
-    """Cancellation below the working precision; retry with more bits."""
-
-
-class DomainError(ValueError):
-    pass
+from .lattice_core import ConfigurationError, FixedPointVector, PrecisionError
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -53,7 +45,7 @@ class CyclotomicField:
 
     def __post_init__(self):
         if self.m < 3 or self.m % 4 == 2:
-            raise DomainError("conductor must be >= 3 and not 2 mod 4")
+            raise ConfigurationError("conductor must be >= 3 and not 2 mod 4")
 
     @property
     def factorization(self) -> tuple:
@@ -127,14 +119,14 @@ def log_embedding(
     table entries T[r] = log|1 - zeta^r| = log(2 sin(pi r / m)), r = 1..m-1,
     evaluated once as mpmath intervals. If any coordinate interval is wider
     than 2**-precision_bits the table is rebuilt at twice the working
-    precision (up to max_bits) before giving up with PrecisionEscalation.
+    precision (up to max_bits) before giving up with PrecisionError.
     """
     import mpmath
     from mpmath import iv, mp
 
     m = field.m
     if any(t % m == 0 for exps in products for t in exps):
-        raise DomainError("factor 1 - zeta^0 vanishes at every embedding")
+        raise ConfigurationError("factor 1 - zeta^0 vanishes at every embedding")
     reps = field.embedding_representatives
     work = precision_bits + 32
     target = mpmath.mpf(2) ** (-precision_bits)
@@ -161,7 +153,7 @@ def log_embedding(
             iv.prec = old
         work *= 2
         if work > max_bits:
-            raise PrecisionEscalation(
+            raise PrecisionError(
                 f"cancellation not resolved below {max_bits} working bits"
             )
 
@@ -190,18 +182,6 @@ def cyclotomic_unit_generators(
         products.append(exps)
     logs = log_embedding(products, field, precision_bits)
     return [UnitGenerator(j, qi, log) for (j, qi), log in zip(shapes, logs)]
-
-
-def log_span_rank(generators: Sequence[UnitGenerator], tol: float = 1e-8) -> int:
-    """Numerical rank of the span of the generator log vectors."""
-    import numpy as np
-
-    rows = [g.log.to_floats() for g in generators]
-    mat = np.array(rows, dtype=float)
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int((sv > tol * max(1.0, sv[0])).sum())
 
 
 def basis_norm_profile(field: CyclotomicField, precision_bits: int = 128) -> dict:
@@ -252,7 +232,7 @@ def alt_period_check(
         tol = mpmath.mpf(2) ** (-(precision_bits // 2) - 8)
         for r in roots:
             if abs(mpmath.im(r)) > tol:
-                raise DomainError("polynomial has a complex root; field not totally real")
+                raise ConfigurationError("polynomial has a complex root; field not totally real")
         roots = sorted(mpmath.re(r) for r in roots)
         if base_point is None:
             base_point = [mpmath.mpf(0)] * n

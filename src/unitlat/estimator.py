@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import euler_phi
+from .lattice_core import ConfigurationError
 
 EPSILON = Fraction(243, 1024)  # failure bound of the five-fold oracle tensor
 CONSTANT_CONVENTION = "all asymptotic constants set to 1"
@@ -24,10 +25,6 @@ CONSTANT_CONVENTION = "all asymptotic constants set to 1"
 
 def _log2f(x) -> Fraction:
     return Fraction(math.log2(float(x)))
-
-
-class ProfileError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -46,11 +43,11 @@ class FieldProfile:
     def __post_init__(self):
         object.__setattr__(self, "d_log2", Fraction(self.d_log2))
         if self.n1 + 2 * self.n2 != self.n:
-            raise ProfileError("signature does not match the degree")
+            raise ConfigurationError("signature does not match the degree")
         if self.n1 + self.n2 - 1 != self.m:
-            raise ProfileError("unit rank must be n1 + n2 - 1")
+            raise ConfigurationError("unit rank must be n1 + n2 - 1")
         if not (self.n / 2 - 1 <= self.m <= self.n - 1):
-            raise ProfileError("unit rank outside [n/2 - 1, n - 1]")
+            raise ConfigurationError("unit rank outside [n/2 - 1, n - 1]")
 
 
 def totally_real_profile(n: int, d_log2) -> FieldProfile:
@@ -74,7 +71,7 @@ def oracle_params(profile: FieldProfile) -> dict:
     Lipschitz bound, concentration radius r, failure bound epsilon."""
     n, m = profile.n, profile.m
     if n < 2:
-        raise ProfileError("degree must be at least 2")
+        raise ConfigurationError("degree must be at least 2")
     d_log2 = profile.d_log2
     # s = 3 * 2^(2n) * sqrt(n D)
     s_log2 = _log2f(3) + 2 * n + Fraction(1, 2) * (_log2f(n) + d_log2)
@@ -108,7 +105,7 @@ def sampler_qubits(
     """Per-sample register width Q = m log(m log 1/eta) + log(Lip/(eta delta lambda_1*))."""
     eta = Fraction(eta)
     if not 0 < eta < Fraction(1, 2):
-        raise ProfileError("eta must lie in (0, 1/2)")
+        raise ConfigurationError("eta must lie in (0, 1/2)")
     m = profile.m
     if lip_log2 is None:
         lip_log2 = oracle_params(profile)["lip_log2"]
@@ -264,7 +261,7 @@ def qubit_count_cyclotomic(conductor: int) -> ResourceEstimate:
     dimension), total Q * m ~ m^2 log m."""
     m = conductor
     if m < 3:
-        raise ProfileError("conductor must be at least 3")
+        raise ConfigurationError("conductor must be at least 3")
     d_log2 = Fraction(m - 2) * _log2f(m)
     log_m = _log2f(m)
     q = Fraction(m) * log_m

@@ -5,6 +5,8 @@ determinants and inverses come from one fraction-free integer Gauss-Jordan
 on the rows scaled to integers (integer_rows). The only place irrational
 values appear (row 2-norms) they are returned as a rational upper bound with
 relative error below 2**-64 next to the exact square.
+
+The package's error classes live here too, all under UnitlatError.
 """
 
 from __future__ import annotations
@@ -20,11 +22,25 @@ Rat = Fraction
 ROOT_BITS = 64  # relative error of rational upper bounds on square roots
 
 
-class RankError(ValueError):
-    """Input matrix is singular / not of full rank."""
+class UnitlatError(Exception):
+    """Root of every error unitlat raises on purpose; the CLI maps it to an
+    exit code."""
 
 
-class ContainmentError(ValueError):
+class ConfigurationError(UnitlatError, ValueError):
+    """A parameter, conductor or field profile lies outside its domain."""
+
+
+class RankError(UnitlatError, ValueError):
+    """Matrix or generating set is not of full rank."""
+
+
+class PrecisionError(UnitlatError, ValueError):
+    """Too few bits: the input or the working precision is below what the
+    bound q or the certified evaluation demands."""
+
+
+class ContainmentError(UnitlatError, ValueError):
     """Claimed sublattice is not contained in the ambient lattice."""
 
 

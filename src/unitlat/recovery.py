@@ -13,20 +13,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bdd_sampler import (
-    ConfigurationError,
     SampleRecord,
     SamplerConfig,
     babai_bdd,
     lambda1_sq_bound,
     sample_dual,
 )
-from .buchmann_pohst import BPParams, BPRankError, bp_reduce
+from .buchmann_pohst import BPParams, bp_reduce
 from .lattice_core import (
     BasisMatrix,
+    ConfigurationError,
     FixedPointVector,
+    PrecisionError,
+    UnitlatError,
     dual_basis,
     op_norm,
     op_norm_two_sq,
@@ -35,12 +37,12 @@ from .lattice_core import (
 from .reduction import hnf, hnf_rational, snf
 
 
-class InsufficientSamplesError(RuntimeError):
+class InsufficientSamplesError(UnitlatError, RuntimeError):
     """The drawn coordinate rows do not span a rank-m lattice; retry with a
     fresh seed."""
 
 
-class ContractViolationError(RuntimeError):
+class ContractViolationError(UnitlatError, RuntimeError):
     """Recovered index exceeds the promised bound."""
 
 
@@ -296,7 +298,8 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
         if any(mants):
             rows.append(FixedPointVector(mants, precision_bits))
     if len(rows) < rank:
-        raise InsufficientSamplesError("not enough independent log generators")
+        # every log rounded to 0: a fresh seed cannot help, more bits can
+        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
     det_bound = Fraction(1)
     for r in rows[:rank]:
         det_bound *= sqrt_upper(

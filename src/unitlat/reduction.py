@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .lattice_core import BasisMatrix, RankError, Rat, integer_rows
+from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, integer_rows
 from .rings import (
     INTEGERS,
     RingDescriptor,
@@ -30,10 +30,6 @@ from .rings import (
 )
 
 DEFAULT_DELTA = Fraction(99, 100)  # matches the delta used for both Z and Z[i]
-
-
-class ParameterError(ValueError):
-    """Reduction parameter outside its admissible range."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,7 @@ def _as_delta(delta) -> Fraction:
 def _check_delta(delta: Fraction, ring: RingDescriptor) -> None:
     mk = ring.euclidean_minimum
     if not (mk < delta < 1):
-        raise ParameterError(
+        raise ConfigurationError(
             f"delta must lie in ({mk}, 1) for ring {ring.kind}, got {delta}"
         )
 

@@ -11,7 +11,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice_core import Rat, round_half_away
+from .lattice_core import round_half_away
 
 INTEGERS_KIND = "integers"
 GAUSSIAN_KIND = "gaussian"

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unitlat.bdd_sampler import (
-    ConfigurationError,
     SampleRecord,
     SamplerConfig,
     babai_bdd,
@@ -21,6 +20,7 @@ from unitlat.bdd_sampler import (
 from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
+    ConfigurationError,
     FixedPointVector,
     RankError,
     op_norm_two_sq,

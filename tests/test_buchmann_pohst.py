@@ -5,14 +5,12 @@ import pytest
 
 from unitlat.buchmann_pohst import (
     BPParams,
-    BPRankError,
-    PrecisionError,
     bp_reduce,
     ceil_log2,
     hermite_constant_upper,
     relation_norm_check,
 )
-from unitlat.lattice_core import BasisMatrix, FixedPointVector
+from unitlat.lattice_core import BasisMatrix, FixedPointVector, PrecisionError, RankError
 from unitlat.reduction import hnf_rational
 from unitlat.rings import GAUSSIAN, RingElement
 
@@ -101,7 +99,7 @@ class TestIntegerBP:
     def test_rank_deficient_raises(self):
         q = 40
         gens = [fp([1, 0], q), fp([2, 0], q), fp([3, 0], q)]
-        with pytest.raises(BPRankError):
+        with pytest.raises(RankError):
             bp_reduce(gens, BPParams(mu=1, D=4))
 
     def test_insufficient_precision(self):
@@ -118,7 +116,7 @@ class TestIntegerBP:
             bp_reduce(gens, BPParams(mu=1, D=4), q_bits=200)
 
     def test_too_few_generators(self):
-        with pytest.raises(BPRankError):
+        with pytest.raises(RankError):
             bp_reduce([fp([1, 2], 40)], BPParams(mu=1, D=4))
 
 

@@ -21,6 +21,29 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def shrink_index_bound(monkeypatch):
+    """Planted problems promise index 1, whatever index they hide."""
+    import dataclasses
+
+    import unitlat.cli as cli_mod
+    import unitlat.recovery as rec
+
+    orig = rec.make_planted_problem
+
+    def shrunk(dim, index=1, seed=0, **kw):
+        return dataclasses.replace(orig(dim, index, seed, **kw), index_bound=1)
+
+    monkeypatch.setattr(cli_mod, "make_planted_problem", shrunk)
+
+
+def child_env():
+    """Environment in which a child interpreter imports unitlat from where this
+    process found it (pytest's pythonpath setting does not reach subprocesses)."""
+    src = os.path.dirname(os.path.dirname(unitlat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestRecoverCommand:
     def test_synthetic_index_two(self, capsys):
         code, out, _ = run_cli(
@@ -48,18 +71,7 @@ class TestRecoverCommand:
         assert code == 1
 
     def test_contract_violation_exit_3(self, capsys, tmp_path, monkeypatch):
-        import unitlat.cli as cli_mod
-        import unitlat.recovery as rec
-
-        orig = rec.make_planted_problem
-
-        def shrunk(dim, index=1, seed=0, **kw):
-            import dataclasses
-
-            p = orig(dim, index, seed, **kw)
-            return dataclasses.replace(p, index_bound=1)
-
-        monkeypatch.setattr(cli_mod, "make_planted_problem", shrunk)
+        shrink_index_bound(monkeypatch)
         code, _, err = run_cli(
             ["recover", "--synthetic", "--dim", "2", "--index", "3", "--seed", "1", "--k", "24"],
             capsys,
@@ -173,8 +185,50 @@ class TestReduceBPSample:
         assert code == 1
 
 
+class TestExitCodes:
+    """main alone turns failures into exit codes, each with one stderr line."""
+
+    FILES = {
+        "singular.json": {"m": 2, "rows": [["1", "2"], ["2", "4"]]},
+        # three multiples of (1, 0): rank 1 in dimension 2, enough bits for q
+        "rank1.json": {"q": 16, "mu": "1", "D": "4",
+                       "vectors": [[1 << 16, 0], [2 << 16, 0], [3 << 16, 0]]},
+    }
+    # (id, argv, exit code, stderr prefix)
+    CASES = [
+        ("singular-reduce", ["reduce", "--in", "singular.json"], 1,
+         "error: basis matrix is singular"),
+        ("conductor-6", ["recover", "--cyclotomic", "6"], 1,
+         "error: conductor must be >= 3"),
+        ("precision-8", ["recover", "--cyclotomic", "5", "--precision-bits", "8"], 1,
+         "error: input precision 8 bits < required q"),
+        ("precision-0", ["recover", "--cyclotomic", "5", "--precision-bits", "0"], 1,
+         "error: generator logs vanish at 0 bits"),
+        ("rank-deficient-bp", ["bp", "--in", "rank1.json"], 1,
+         "error: more than k - m short columns"),
+        ("insufficient-samples", ["recover", "--synthetic", "--dim", "3", "--k", "1"], 2,
+         "error: coordinate rows span rank"),
+        ("contract-violation",
+         ["recover", "--synthetic", "--dim", "2", "--index", "3", "--seed", "1", "--k", "24"],
+         3, "error: recovered index 3 exceeds the bound 1"),
+    ]
+
+    @pytest.mark.parametrize("name,argv,code,prefix", CASES, ids=[c[0] for c in CASES])
+    def test_exit_code(self, name, argv, code, prefix, capsys, tmp_path, monkeypatch):
+        for fname, obj in self.FILES.items():
+            (tmp_path / fname).write_text(json.dumps(obj))
+        monkeypatch.chdir(tmp_path)
+        if name == "contract-violation":
+            shrink_index_bound(monkeypatch)
+        got, out, err = run_cli(argv, capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestRejectedFlags:
-    """Flags a subcommand does not read are usage errors, not ignored."""
+    """Flags a subcommand does not read, and values outside a flag's domain,
+    are usage errors, not ignored."""
 
     REJECTED = [
         ("recover", ["--format", "csv"]),
@@ -189,6 +243,8 @@ class TestRejectedFlags:
         ("bp", ["--precision-bits", "64"]),
         ("bp", ["--format", "csv"]),
         ("sample", ["--format", "csv"]),
+        ("recover", ["--k", "0"]),
+        ("sample", ["--count", "-2"]),
     ]
     BASE = {
         "recover": ["recover", "--synthetic"],
@@ -287,15 +343,21 @@ class TestReplayDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        # the child imports unitlat from where this process found it (pytest's
-        # pythonpath setting does not reach subprocesses)
-        src = os.path.dirname(os.path.dirname(unitlat.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "unitlat.cli", "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip()
+
+    def test_import_loads_no_numerics_library(self):
+        """mpmath is imported only where certified logs are evaluated, and
+        numpy not at all."""
+        code = "import sys, unitlat.cli; print(sorted({'mpmath', 'numpy'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,13 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from unitlat.buchmann_pohst import BPParams, bp_reduce, relation_norm_check
 from unitlat.cyclotomic import (
     CyclotomicField,
-    DomainError,
-    PrecisionEscalation,
     alt_period_check,
     basis_norm_profile,
     cyclotomic_unit_generators,
@@ -15,7 +15,14 @@ from unitlat.cyclotomic import (
     factorize,
     generator_shape,
     log_embedding,
-    log_span_rank,
+)
+from unitlat.lattice_core import (
+    ConfigurationError,
+    FixedPointVector,
+    PrecisionError,
+    RankError,
+    norm_sq,
+    sqrt_upper,
 )
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -30,9 +37,9 @@ class TestFieldData:
         assert [euler_phi(n) for n in (5, 7, 8, 9, 11, 12)] == [4, 6, 4, 6, 10, 4]
 
     def test_conductor_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             CyclotomicField(6)  # 2 mod 4 duplicates conductor 3
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             CyclotomicField(2)
 
     def test_cofactors(self):
@@ -85,8 +92,9 @@ class TestLogEmbedding:
         assert abs(vals[1] + math.log(GOLDEN)) < 1e-12
 
     def test_coordinate_sum_zero(self):
-        """Unit logs live on the trace-zero hyperplane."""
-        for m in (5, 7, 8, 12):
+        """Unit logs live on the trace-zero hyperplane, so their span has rank
+        at most phi(m)/2 - 1."""
+        for m in (5, 7, 8, 9, 11, 12):
             f = CyclotomicField(m)
             for g in cyclotomic_unit_generators(f, 96):
                 # exact mantissa arithmetic: the sum vanishes to within one
@@ -95,15 +103,15 @@ class TestLogEmbedding:
                 assert abs(total) <= g.log.dim
 
     def test_zero_order_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             log_embedding([{5: 1}], CyclotomicField(5), 64)
 
     def test_wide_coordinate_escalates(self):
         """An exponent of 2^40 widens each interval past 2^-64 at 96 working
         bits; the rebuilt table certifies it, and a cap below the rebuild
-        raises PrecisionEscalation."""
+        raises PrecisionError."""
         f = CyclotomicField(5)
-        with pytest.raises(PrecisionEscalation):
+        with pytest.raises(PrecisionError):
             log_embedding([{1: 2**40}], f, 64, max_bits=100)
         (vec,) = log_embedding([{1: 2**40}], f, 64)
         with mpmath.workdps(60):
@@ -124,12 +132,40 @@ class TestLogEmbedding:
         assert len(gens) > 1
 
 
+def projected_logs(m, bits=96):
+    """Nonzero generator logs without their last coordinate (injective on the
+    trace-zero hyperplane), as fixed-point rows."""
+    field = CyclotomicField(m)
+    rows = [g.log.mantissas[: field.unit_rank] for g in cyclotomic_unit_generators(field, bits)]
+    return [FixedPointVector(r, bits) for r in rows if any(r)]
+
+
+def bp_certified(rows):
+    """bp_reduce with D the product of the row norms (each at least 1), an
+    upper bound on det of the generated lattice whatever its rank."""
+    d = 1
+    for r in rows:
+        d *= sqrt_upper(norm_sq(r.to_rationals()) + 1)
+    return bp_reduce(rows, BPParams(mu=Fraction(1, 8), D=d))
+
+
 class TestRank:
     @pytest.mark.parametrize("m", [5, 7, 8, 9, 11, 12])
     def test_rank_is_unit_rank(self, m):
-        f = CyclotomicField(m)
-        gens = cyclotomic_unit_generators(f, 96)
-        assert log_span_rank(gens) == f.unit_rank
+        """The certified reconstruction finds unit_rank basis rows, so the span
+        has rank phi(m)/2 - 1 (test_coordinate_sum_zero bounds it above)."""
+        rows = projected_logs(m)
+        res = bp_certified(rows)
+        rank = CyclotomicField(m).unit_rank
+        assert (len(res.basis_approx), len(res.relations)) == (rank, len(rows) - rank)
+        assert relation_norm_check(res)
+
+    def test_rank_deficient_rows_rejected(self):
+        """Five m=11 rows spanning 3 of the 4 dimensions."""
+        a, b, c = (r.mantissas for r in projected_logs(11)[:3])
+        rows = [a, b, c, [x + y for x, y in zip(a, b)], [y - 2 * z for y, z in zip(b, c)]]
+        with pytest.raises(RankError, match="more than k - m short columns"):
+            bp_certified([FixedPointVector(tuple(r), 96) for r in rows])
 
     def test_nonunit_inclusion_would_inflate_rank(self):
         """Keeping the norm-4 element at m=12 would push the span off the
@@ -173,7 +209,7 @@ class TestAltPeriodCheck:
         assert hits >= 48  # a random vector is essentially never a period
 
     def test_complex_roots_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             alt_period_check([1, 0, 1], [0.1, 0.2], 64)  # x^2 + 1
 
     def test_dimension_mismatch(self):

@@ -9,7 +9,6 @@ import pytest
 from unitlat.estimator import (
     EPSILON,
     FieldProfile,
-    ProfileError,
     cyclotomic_generic_profile,
     oracle_params,
     qubit_count_cyclotomic,
@@ -21,17 +20,18 @@ from unitlat.estimator import (
     slope_fit,
     totally_real_profile,
 )
+from unitlat.lattice_core import ConfigurationError
 
 F = Fraction
 
 
 class TestProfile:
     def test_signature_checked(self):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ConfigurationError):
             FieldProfile(n=4, n1=1, n2=1, m=1, d_log2=10)
 
     def test_unit_rank_checked(self):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ConfigurationError):
             FieldProfile(n=4, n1=4, n2=0, m=2, d_log2=10)
 
     def test_totally_real_helper(self):
@@ -65,7 +65,7 @@ class TestOracleParams:
             assert float(r_log2) < math.log2(1 / 12)
 
     def test_degree_one_rejected(self):
-        with pytest.raises(ProfileError):
+        with pytest.raises(ConfigurationError):
             oracle_params(FieldProfile(n=1, n1=1, n2=0, m=0, d_log2=3))
 
 
@@ -79,7 +79,7 @@ class TestSamplerQubits:
 
     def test_eta_range(self):
         p = totally_real_profile(4, 20)
-        with pytest.raises(ProfileError):
+        with pytest.raises(ConfigurationError):
             sampler_qubits(p, F(0), F(3, 4))
 
     def test_eta_one_over_k_sq_wiring(self):

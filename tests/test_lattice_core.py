@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import unitlat
 from unitlat.enumeration import shortest_vector_sq
 
 from unitlat.lattice_core import (
@@ -13,6 +17,7 @@ from unitlat.lattice_core import (
     ContainmentError,
     FixedPointVector,
     RankError,
+    UnitlatError,
     dot,
     dual_basis,
     gram_schmidt,
@@ -374,3 +379,19 @@ class TestSublatticeIndex:
         s = BasisMatrix.identity(2)
         with pytest.raises(ContainmentError):
             sublattice_index(s, b)
+
+
+class TestErrorHierarchy:
+    def test_every_error_class_is_a_unitlat_error(self):
+        """Each exception class defined in the package has one root and keeps
+        its builtin base, so `except ValueError` callers still catch it."""
+        found = {}
+        for info in pkgutil.iter_modules(unitlat.__path__):
+            module = importlib.import_module(f"unitlat.{info.name}")
+            for name, cls in inspect.getmembers(module, inspect.isclass):
+                if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                    found[name] = cls
+        assert all(issubclass(cls, UnitlatError) for cls in found.values()), found
+        assert len(found) == 8, sorted(found)
+        del found["UnitlatError"]
+        assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in found.values())

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from unitlat.bdd_sampler import SamplerConfig
-from unitlat.lattice_core import BasisMatrix
+from unitlat.lattice_core import BasisMatrix, ConfigurationError
 from unitlat.recovery import (
-    ConfigurationError,
     InsufficientSamplesError,
     RecoveryProblem,
     build_cyclotomic_problem,

@@ -6,12 +6,11 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from unitlat.lattice_core import BasisMatrix, RankError, norm_sq
+from unitlat.lattice_core import BasisMatrix, ConfigurationError, RankError, norm_sq
 from unitlat.recovery import cyclotomic_log_basis
 from unitlat.reduction import (
     DEFAULT_DELTA,
     OKMatrix,
-    ParameterError,
     _lll_rows,
     check_reduced_bound,
     hnf,
@@ -162,7 +161,7 @@ class TestIntegerCoreMatchesReference:
 
     @pytest.mark.parametrize("delta", [F(1, 4), F(1)])
     def test_delta_out_of_range(self, delta):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ConfigurationError):
             lll_reduce(BasisMatrix.identity(2), delta)
 
     @pytest.mark.parametrize(
