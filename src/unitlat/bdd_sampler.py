@@ -1,33 +1,44 @@
 """Babai rounding BDD and a classical simulation of the dual lattice sampler.
 
-The sampler draws a dual point from a truncated discrete Gaussian, perturbs it
-inside a ball whose radius is a fraction of lambda_1 of the dual, and injects
-outright failures with a configured probability. Each record keeps the planted
-ground-truth point so statistical contracts can be verified after the fact.
+The sampler draws a dual point from the discrete Gaussian of width sigma
+truncated to the ball of radius 3 sigma, perturbs it inside a ball whose
+radius is a fraction of lambda_1 of the dual, and injects outright failures
+with a configured probability. Each record keeps the planted ground-truth
+point so statistical contracts can be verified after the fact.
+
+The draw is Klein's nearest-plane sampler over the LLL-reduced basis (Klein,
+SODA 2000; Gentry-Peikert-Vaikuntanathan, STOC 2008), one 1-D Gaussian per
+Gram-Schmidt level, kept only if the exact integer norm is within the ball.
+Its cost is polynomial in the dimension: nothing enumerates the ball. Above
+the GPV width (gpv_sigma) its law is within O(n eps) of the truncated
+discrete Gaussian; below it the draws still lie in the ball.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import List, Sequence
 
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
-    common_denominator,
     dot,
     norm_sq,
     op_norm_two_sq,
     round_half_away,
     sqrt_lower,
+    sqrt_upper,
 )
-from .enumeration import ENUMERATION_DIM_LIMIT, lattice_points_in_ball, shortest_vector_sq
+from .enumeration import ENUMERATION_DIM_LIMIT, PAD, shortest_vector_sq
+from .reduction import lll_reduce_gram
 
 
 @dataclass(frozen=True)
@@ -92,10 +103,9 @@ def load_samples(text: str) -> list:
 
 
 def lambda1_sq_bound(basis: BasisMatrix) -> Fraction:
-    """Exact lambda_1^2 for small dimensions, else a sound lower bound."""
-    if basis.m <= ENUMERATION_DIM_LIMIT:
-        return shortest_vector_sq(basis)
-    return lambda1_sq_lower_bound(basis)
+    """Exact lambda_1^2 for small dimensions, else a sound lower bound; kept
+    with the sampler's per-basis data (klein_basis)."""
+    return klein_basis(basis).lam_sq
 
 
 def lambda1_sq_lower_bound(basis: BasisMatrix) -> Fraction:
@@ -121,32 +131,105 @@ def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
     return tuple(round_half_away(dot(row, y_rat)) for row in b_m.rows)
 
 
-_SUPPORT_CACHE: dict = {}
+# the GPV smoothing slack: sigma >= max ||b~_i|| sqrt(ln(2n(1 + 1/eps)) / pi)
+GPV_EPSILON = Fraction(1, 2**10)
 
 
-def _support(b_l_star: BasisMatrix, sigma: Fraction):
-    """(coords, cdf, lambda_1^2) of the truncated Gaussian over the 3 sigma
-    ball, memoized per (basis, sigma): repeated experiments on the same dual
-    lattice would otherwise repeat the enumeration and the weights."""
-    key = (b_l_star, sigma)
-    entry = _SUPPORT_CACHE.get(key)
-    if entry is None:
-        points = lattice_points_in_ball(b_l_star, 9 * sigma * sigma)
-        scale = common_denominator(b_l_star) ** 2
-        sigma_f = float(sigma)
-        # n / scale is the correctly rounded float of the exact squared norm
-        weights = [
-            math.exp(-math.pi * (n / scale) / (sigma_f * sigma_f)) for _, n in points
-        ]
-        total = sum(weights)
-        cum = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cum.append(acc)
-        entry = ([x for x, _ in points], cum, lambda1_sq_bound(b_l_star))
-        _SUPPORT_CACHE[key] = entry
-    return entry
+@dataclass(frozen=True)
+class KleinBasis:
+    """What the nearest-plane sampler needs of a basis B, from one LLL.
+
+    The reduced basis is R = U B with U unimodular; den * R = rows in
+    integers. gs_norm_sq[i] = ||b~_i||^2 and mu[i][j - i - 1] = mu_ji (j > i)
+    are floats of R's exact Gram-Schmidt data; gs_norm_sq_max is the exact
+    max ||b~_i||^2. lam_sq is lambda_1^2, exact up to ENUMERATION_DIM_LIMIT
+    (enumerated over R), above it lambda1_sq_lower_bound(B).
+    """
+
+    den: int
+    rows: tuple
+    transform: tuple
+    gs_norm_sq: tuple
+    mu: tuple
+    gs_norm_sq_max: Fraction
+    lam_sq: Fraction
+
+
+@functools.lru_cache(maxsize=16)
+def klein_basis(basis: BasisMatrix) -> KleinBasis:
+    """The LLL-reduced basis and its Gram-Schmidt data, once per basis."""
+    den, ints, transform, d, lam = lll_reduce_gram(basis)
+    m = basis.m
+    scale = den * den
+    gs_sq = [Fraction(d[i + 1], d[i] * scale) for i in range(m)]
+    if m <= ENUMERATION_DIM_LIMIT:
+        reduced = BasisMatrix([[Fraction(x, den) for x in row] for row in ints])
+        # reducing R again makes no swap: about 1 ms at dimension 5
+        lam_sq = shortest_vector_sq(reduced)
+    else:
+        lam_sq = lambda1_sq_lower_bound(basis)
+    return KleinBasis(
+        den=den,
+        rows=tuple(tuple(row) for row in ints),
+        transform=tuple(tuple(row) for row in transform),
+        gs_norm_sq=tuple(float(g) for g in gs_sq),
+        mu=tuple(
+            tuple(lam[j][i] / d[i + 1] for j in range(i + 1, m)) for i in range(m)
+        ),
+        gs_norm_sq_max=max(gs_sq),
+        lam_sq=lam_sq,
+    )
+
+
+def gpv_sigma(basis: BasisMatrix) -> Fraction:
+    """Rational upper bound on max ||b~_i|| sqrt(ln(2n(1 + 1/eps)) / pi) over
+    the LLL-reduced basis: the width from which the nearest-plane sampler is
+    within statistical distance O(n eps) of the discrete Gaussian
+    (Gentry-Peikert-Vaikuntanathan, STOC 2008, Lemma 3.1 and Thm 4.1)."""
+    n = basis.m
+    # math.log is within an ulp and math.pi lies below pi: the factor
+    # 1 + 2^-50 makes the quotient an upper bound
+    log_term = Fraction(math.log(2 * n * (1 + 1 / GPV_EPSILON)))
+    factor = log_term * (1 + Fraction(1, 2**50)) / Fraction(math.pi)
+    return sqrt_upper(klein_basis(basis).gs_norm_sq_max * factor)
+
+
+def _klein_draw(kb: KleinBasis, sigma: float, bound: int, rng: random.Random):
+    """(y, point): a nearest-plane draw y (coordinates in the reduced basis)
+    with ||point||^2 <= bound exactly, point = y @ kb.rows (integers over
+    kb.den).
+
+    From the last Gram-Schmidt vector down, level i draws y_i from the 1-D
+    discrete Gaussian exp(-pi (y - c_i)^2 ||b~_i||^2 / sigma^2), c_i =
+    -sum_{j>i} mu_ji y_j, restricted to |y - c_i| <= 3 sigma / ||b~_i||, by one
+    uniform and an inverse CDF (Klein, SODA 2000). A ball point has
+    |y_i - c_i| ||b~_i|| <= ||point|| at every level, so every point of the ball
+    of radius 3 sigma lies in these windows; the float window is widened by
+    PAD times the magnitude of its terms, far above its rounding error, so
+    none is lost to rounding. The draw is kept only if the exact integer norm
+    is within the bound, else a fresh draw starts.
+    """
+    m = len(kb.rows)
+    weights_at = [math.pi * g / (sigma * sigma) for g in kb.gs_norm_sq]
+    halves = [3.0 * sigma / math.sqrt(g) for g in kb.gs_norm_sq]
+    while True:
+        y = [0] * m
+        for i in reversed(range(m)):
+            terms = [mu * x for mu, x in zip(kb.mu[i], y[i + 1:])]
+            c = -sum(terms)
+            half = halves[i]
+            pad = PAD * (sum(map(abs, terms)) + half + 1.0)
+            lo = math.ceil(c - half - pad)
+            hi = math.floor(c + half + pad)
+            a = weights_at[i]
+            cum = list(accumulate(math.exp(-a * (x - c) ** 2) for x in range(lo, hi + 1)))
+            if not cum:
+                break
+            y[i] = lo + bisect_left(cum, rng.random() * cum[-1])
+        else:
+            point = [sum(x * r for x, r in zip(y, col)) for col in zip(*kb.rows)]
+            if sum(x * x for x in point) <= bound:
+                return y, point
 
 
 def sample_dual(
@@ -155,46 +238,40 @@ def sample_dual(
     count: int,
     precision_bits: int = 64,
 ) -> List[SampleRecord]:
-    """Draw `count` simulated sampler outputs near the lattice of b_l_star."""
+    """Draw `count` simulated sampler outputs near the lattice of b_l_star:
+    points of the 3 sigma ball from the nearest-plane sampler over the
+    LLL-reduced basis, each moved by noise of norm below delta * lambda_1."""
     m = b_l_star.m
+    kb = klein_basis(b_l_star)
     sigma_f = float(cfg.sigma)
-    support, cum, lam_sq = _support(b_l_star, cfg.sigma)
+    radius_sq = 9 * cfg.sigma * cfg.sigma * kb.den * kb.den
+    bound = radius_sq.numerator // radius_sq.denominator
     # stay strictly inside the advertised radius so the exact coverage check
     # is immune to float rounding at the boundary
-    noise_radius = 0.999 * float(sqrt_lower(lam_sq)) * float(cfg.delta)
+    noise_radius = 0.999 * float(sqrt_lower(kb.lam_sq)) * float(cfg.delta)
     box = 4.0 * (3.0 * sigma_f + 1.0)
 
     rng = random.Random(cfg.seed)
     out = []
     for _ in range(count):
-        u = rng.random()
-        coords = support[_bisect(cum, u)]
+        y, point = _klein_draw(kb, sigma_f, bound, rng)
+        coords = tuple(sum(x * u for x, u in zip(y, col)) for col in zip(*kb.transform))
         failed = rng.random() < float(cfg.eta)
         if failed:
             value = [rng.uniform(-box, box) for _ in range(m)]
         else:
-            value = [float(x) for x in b_l_star.row_combination(coords)]
+            # int / int is the correctly rounded float of the exact coordinate
+            value = [x / kb.den for x in point]
             if noise_radius > 0:
                 gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
                 gn = math.sqrt(sum(g * g for g in gauss)) or 1.0
                 rad = noise_radius * rng.random() ** (1.0 / m)
                 value = [v + rad * g / gn for v, g in zip(value, gauss)]
-        y = FixedPointVector.from_rationals(
+        y_fp = FixedPointVector.from_rationals(
             [Fraction(v) for v in value], precision_bits
         )
-        out.append(SampleRecord(y, tuple(coords), failed))
+        out.append(SampleRecord(y_fp, coords, failed))
     return out
-
-
-def _bisect(cum, u):
-    lo, hi = 0, len(cum) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cum[mid] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def verify_sampler_contract(

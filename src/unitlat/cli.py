@@ -50,7 +50,8 @@ class CLIUsageError(ConfigurationError):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --k and --count; a non-integer is reported as by int."""
+    """argparse type of --k, --count and --tau-log2; a non-integer is
+    reported as by int."""
     try:
         value = int(text)
     except ValueError:
@@ -124,8 +125,7 @@ def cmd_recover(args) -> int:
     _fill_defaults(args, dim=2, index=1, precision_bits=64)
 
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        cfg = _load_json_object(args.config)
         mode = cfg.get("mode", "sublattice")
         inst = cfg["instance"]
         seed = int(cfg.get("seed", args.seed))
@@ -230,9 +230,19 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_matrix(path: str, ring_kind: str):
+def _load_json_object(path: str) -> dict:
+    """The JSON object in a file; any other top-level value is an input error."""
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ConfigurationError(
+            f"{path}: top level must be a JSON object, not {type(obj).__name__}"
+        )
+    return obj
+
+
+def _load_matrix(path: str, ring_kind: str):
+    obj = _load_json_object(path)
     if ring_kind == INTEGERS.kind:
         return BasisMatrix.from_json(obj)
     return OKMatrix.from_json(obj)
@@ -254,8 +264,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_bp(args) -> int:
-    with open(args.infile) as fh:
-        obj = json.load(fh)
+    obj = _load_json_object(args.infile)
     q = int(obj["q"])
     gens = [FixedPointVector(tuple(int(x) for x in v), q) for v in obj["vectors"]]
     params = BPParams(mu=Fraction(obj["mu"]), D=Fraction(obj["D"]))
@@ -274,8 +283,7 @@ def cmd_bp(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    with open(args.dual) as fh:
-        dual = BasisMatrix.from_json(json.load(fh))
+    dual = BasisMatrix.from_json(_load_json_object(args.dual))
     cfg = SamplerConfig(
         delta=Fraction(args.delta),
         r=Fraction(args.r),
@@ -331,7 +339,7 @@ def build_parser() -> _Parser:
     profile.add_argument("--kummer", nargs=2, default=None, metavar=("N", "LOGD"))
     p.add_argument("--logD", type=str, default=None, help="--m only")
     p.add_argument("--compare", action="store_true", help="--cyclotomic only")
-    p.add_argument("--tau-log2", dest="tau_log2", type=int, default=None,
+    p.add_argument("--tau-log2", dest="tau_log2", type=_positive_int, default=None,
                    help="default 20; with --cyclotomic only if --compare")
     p.set_defaults(func=cmd_estimate)
 

@@ -1,8 +1,9 @@
 """Exact lattice point enumeration: Fincke-Pohst pruned in floats, every
 emitted point checked and normed in integers.
 
-Used for ground-truth shortest vectors and for the truncated Gaussian support
-of the simulated dual lattice sampler. Desk-scale only: dimensions <= 8.
+Used for exact shortest vectors (the sampler's lambda_1 at dimensions <= 8)
+and by the tests as a ground truth; the sampler itself never enumerates its
+support. Desk-scale only: dimensions <= 8.
 """
 
 from __future__ import annotations

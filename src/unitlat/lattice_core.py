@@ -128,6 +128,12 @@ def norm_sq(v: Sequence[Fraction]) -> Fraction:
     return dot(v, v)
 
 
+def _check_exponent(exponent: int) -> int:
+    if exponent < 0:
+        raise ValueError("fixed-point exponent must be >= 0")
+    return exponent
+
+
 @dataclass(frozen=True)
 class FixedPointVector:
     """Real vector stored as integer mantissas sharing one binary exponent.
@@ -139,8 +145,7 @@ class FixedPointVector:
     exponent: int
 
     def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("fixed-point exponent must be >= 0")
+        _check_exponent(self.exponent)
         object.__setattr__(self, "mantissas", tuple(int(m) for m in self.mantissas))
 
     @property
@@ -157,7 +162,7 @@ class FixedPointVector:
 
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction], exponent: int) -> "FixedPointVector":
-        d = 1 << exponent
+        d = 1 << _check_exponent(exponent)
         return cls(tuple(round_half_away(_to_frac(v) * d) for v in values), exponent)
 
     def to_json(self) -> dict:
@@ -185,6 +190,18 @@ class BasisMatrix:
         self._dual = None
         if self.det() == 0:
             raise RankError("basis matrix is singular")
+
+    @classmethod
+    def _with_det(cls, rows, det: Fraction) -> "BasisMatrix":
+        """A matrix of Fraction rows whose nonzero determinant is already
+        known from how they were made: nothing is re-eliminated."""
+        self = cls.__new__(cls)
+        self.rows = tuple(tuple(row) for row in rows)
+        self.m = len(self.rows)
+        self._det = det
+        self._inv = None
+        self._dual = None
+        return self
 
     def __eq__(self, other):
         return isinstance(other, BasisMatrix) and self.rows == other.rows
@@ -226,19 +243,21 @@ class BasisMatrix:
         return self._inv
 
     def transpose(self) -> "BasisMatrix":
-        return BasisMatrix(tuple(zip(*self.rows)))
+        return BasisMatrix._with_det(zip(*self.rows), self.det())
 
     def inverse_as_matrix(self) -> "BasisMatrix":
-        return BasisMatrix(self.inverse_rows())
+        return BasisMatrix._with_det(self.inverse_rows(), 1 / self.det())
 
     def dual(self) -> "BasisMatrix":
-        """Rows generating the dual lattice, (B^t)^-1 = (B^-1)^t, computed once."""
+        """Rows generating the dual lattice, (B^t)^-1 = (B^-1)^t, computed once;
+        the dual of the result is this matrix again, not a second inversion."""
         if self._dual is None:
-            self._dual = BasisMatrix(zip(*self.inverse_rows()))
+            self._dual = BasisMatrix._with_det(zip(*self.inverse_rows()), 1 / self.det())
+            self._dual._dual = self
         return self._dual
 
     def matmul(self, other: "BasisMatrix") -> "BasisMatrix":
-        return BasisMatrix(_matmul(self.rows, other.rows))
+        return BasisMatrix._with_det(_matmul(self.rows, other.rows), self.det() * other.det())
 
     def row_combination(self, coeffs: Sequence[int]) -> tuple:
         """Integer combination of the rows: sum coeffs[i] * rows[i]."""

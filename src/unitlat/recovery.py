@@ -19,6 +19,7 @@ from .bdd_sampler import (
     SampleRecord,
     SamplerConfig,
     babai_bdd,
+    gpv_sigma,
     lambda1_sq_bound,
     sample_dual,
 )
@@ -327,8 +328,11 @@ def build_cyclotomic_problem(
     if delta is None:
         # half of what the Babai hypothesis allows
         delta = min(Fraction(1, 4), 1 / (4 * bm_two * lam_up))
+    # 2 lambda_1, raised to the width the nearest-plane sampler needs; the
+    # concentration radius covers the 3 sigma ball the draws come from
+    sigma = max(2 * lam_up, gpv_sigma(b_dual))
     cfg = SamplerConfig(
-        delta=delta, r=3 * sqrt_upper(lam_sq) * 3, eta=eta, sigma=2 * lam_up, seed=seed
+        delta=delta, r=max(9 * lam_up, 3 * sigma), eta=eta, sigma=sigma, seed=seed
     )
     det_l = abs(b_m.det())
     return RecoveryProblem(

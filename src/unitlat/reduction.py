@@ -169,10 +169,12 @@ def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
 
 
 def _lll_int(rows: List[List[int]], delta: Fraction):
-    """Exact LLL over Z on integer rows, in integers only; returns (rows, transform).
+    """Exact LLL over Z on integer rows, in integers only; returns
+    (rows, transform, d, lam), the last two the reduced rows' Gram data.
 
-    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1) and
-    lam[k][j] = d[j+1] * mu_kj for j < k; both are integers, and every
+    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so
+    ||b_i*||^2 = d[i+1] / d[i], and lam[k][j] = d[j+1] * mu_kj for j < k;
+    both are integers, kept exact for the current rows throughout, and every
     division below is exact. The decisions are those of _lll_rows: row k is
     size-reduced against k-1, ..., 0 with q = round_half_away(mu_kj), then
     the Lovasz test d[k+1] d[k-1] + lam^2 >= delta d[k]^2 decides between
@@ -227,7 +229,7 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
             li[k - 1] = (new_dk * old + lmb * li[k]) // d[k + 1]
         d[k] = new_dk
         k = max(k - 1, 1)
-    return b, u
+    return b, u, d, lam
 
 
 def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
@@ -236,7 +238,7 @@ def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
     invariant under the scaling, so the decisions and the transform are those
     of the unscaled rows."""
     den, ints = integer_rows(rows)
-    red, u = _lll_int(ints, delta)
+    red, u, _, _ = _lll_int(ints, delta)
     return [[Fraction(x, den) for x in row] for row in red], u
 
 
@@ -271,6 +273,16 @@ def lll_reduce(basis, delta=DEFAULT_DELTA, ring: RingDescriptor = INTEGERS):
             OKMatrix(tuple(tuple(r) for r in u), basis.ring),
         )
     raise TypeError("basis must be a BasisMatrix or an OKMatrix")
+
+
+def lll_reduce_gram(basis: BasisMatrix) -> tuple:
+    """lll_reduce over Z at DEFAULT_DELTA, in integers, with the Gram data the
+    loop keeps: (D, N, U, d, lam), where D is the common denominator of the
+    input, N = D R the reduced basis R = U B as integer rows, and d, lam are
+    R's Gram determinants and scaled mu as in _lll_int (of N, so
+    ||r_i*||^2 = d[i+1] / (d[i] D^2)). R and U are those of lll_reduce."""
+    den, ints = integer_rows(basis.rows)
+    return (den,) + tuple(_lll_int(ints, DEFAULT_DELTA))
 
 
 def lll_reduce_rows(rows: Sequence[Sequence[RingElement]], delta, ring: RingDescriptor):

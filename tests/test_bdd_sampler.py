@@ -1,5 +1,7 @@
 import hashlib
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,27 +9,129 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unitlat.bdd_sampler import (
+    GPV_EPSILON,
     SampleRecord,
     SamplerConfig,
     babai_bdd,
     dump_samples,
+    gpv_sigma,
+    klein_basis,
     lambda1_sq_bound,
     lambda1_sq_lower_bound,
     load_samples,
     sample_dual,
     verify_sampler_contract,
 )
-from unitlat.enumeration import shortest_vector_sq
+from unitlat.enumeration import lattice_points_in_ball, shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
     RankError,
+    common_denominator,
+    norm_sq,
     op_norm_two_sq,
     sqrt_lower,
 )
 
 F = Fraction
+
+# the pinned 3x3 rational dual basis and its stream configuration
+PINNED_BASIS = BasisMatrix(
+    [
+        [F(3, 2), F(-1, 3), F(2, 5)],
+        [F(1, 4), F(5, 3), F(-2, 7)],
+        [F(-1, 2), F(1, 6), F(9, 4)],
+    ]
+)
+PINNED_CFG = SamplerConfig(delta=F(1, 8), r=6, eta=F(1, 10), sigma=F(3, 2), seed=11)
+
+
+# ---------------------------------------------------------------------------
+# Reference sampler: the exact truncated discrete Gaussian over the whole
+# 3 sigma ball, enumerated and drawn by one uniform through its float CDF.
+# This was the library's sampler before the nearest-plane one; it is kept
+# here, unchanged, as the oracle the nearest-plane draws are compared with.
+# ---------------------------------------------------------------------------
+
+
+def reference_support(b_l_star, sigma):
+    """(coords, cdf, lambda_1^2) of the truncated Gaussian over the 3 sigma ball."""
+    points = lattice_points_in_ball(b_l_star, 9 * sigma * sigma)
+    scale = common_denominator(b_l_star) ** 2
+    sigma_f = float(sigma)
+    # n / scale is the correctly rounded float of the exact squared norm
+    weights = [math.exp(-math.pi * (n / scale) / (sigma_f * sigma_f)) for _, n in points]
+    total = sum(weights)
+    cum = []
+    acc = 0.0
+    for w in weights:
+        acc += w / total
+        cum.append(acc)
+    return [x for x, _ in points], cum, lambda1_sq_bound(b_l_star)
+
+
+def reference_bisect(cum, u):
+    lo, hi = 0, len(cum) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cum[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def reference_sample_dual(b_l_star, cfg, count, precision_bits=64):
+    """The former sample_dual: support draw, failure flag, then the noise."""
+    m = b_l_star.m
+    sigma_f = float(cfg.sigma)
+    support, cum, lam_sq = reference_support(b_l_star, cfg.sigma)
+    noise_radius = 0.999 * float(sqrt_lower(lam_sq)) * float(cfg.delta)
+    box = 4.0 * (3.0 * sigma_f + 1.0)
+    rng = random.Random(cfg.seed)
+    out = []
+    for _ in range(count):
+        coords = support[reference_bisect(cum, rng.random())]
+        failed = rng.random() < float(cfg.eta)
+        if failed:
+            value = [rng.uniform(-box, box) for _ in range(m)]
+        else:
+            value = [float(x) for x in b_l_star.row_combination(coords)]
+            if noise_radius > 0:
+                gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
+                gn = math.sqrt(sum(g * g for g in gauss)) or 1.0
+                rad = noise_radius * rng.random() ** (1.0 / m)
+                value = [v + rad * g / gn for v, g in zip(value, gauss)]
+        y = FixedPointVector.from_rationals([F(v) for v in value], precision_bits)
+        out.append(SampleRecord(y, tuple(coords), failed))
+    return out
+
+
+def chi_square_bound(df, z=4.75):
+    """Wilson-Hilferty upper quantile of chi^2_df at the normal quantile z
+    (z = 4.75: tail probability about 1e-6)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def seeded_rational_bases(seed, dims=(2, 3, 4), per_dim=3):
+    """Non-symmetric, non-integral rational bases, reproducible from the seed."""
+    rng = random.Random(seed)
+    out = []
+    for dim in dims:
+        while sum(b.m == dim for b in out) < per_dim:
+            rows = [
+                [F(rng.randint(-7, 7), rng.randint(1, 5)) for _ in range(dim)]
+                for _ in range(dim)
+            ]
+            if all(rows[i][j] == rows[j][i] for i in range(dim) for j in range(i)):
+                continue
+            try:
+                out.append(BasisMatrix(rows))
+            except RankError:
+                continue
+    return out
 
 
 def rand_basis(rng, dim, lo=-6, hi=6):
@@ -165,16 +269,21 @@ class TestSampler:
 
     def test_pinned_stream_non_integral_basis(self):
         """The sample stream on a rational 3x3 dual basis is fixed: any change
-        to enumeration order, weights or draws must be deliberate."""
-        b = BasisMatrix(
-            [
-                [F(3, 2), F(-1, 3), F(2, 5)],
-                [F(1, 4), F(5, 3), F(-2, 7)],
-                [F(-1, 2), F(1, 6), F(9, 4)],
-            ]
+        to the reduction, the level order, the windows or the draws must be
+        deliberate."""
+        digest = hashlib.sha256(
+            dump_samples(sample_dual(PINNED_BASIS, PINNED_CFG, 200)).encode()
         )
-        cfg = SamplerConfig(delta=F(1, 8), r=6, eta=F(1, 10), sigma=F(3, 2), seed=11)
-        digest = hashlib.sha256(dump_samples(sample_dual(b, cfg, 200)).encode())
+        assert digest.hexdigest() == (
+            "96d7126f96f1103ff33058bea31863bc422ebdedced3e13d2ba8c093b3e71666"
+        )
+
+    def test_reference_reproduces_former_stream(self):
+        """The reference in this file is the former enumeration sampler
+        unchanged: it still yields the stream that sampler was pinned to."""
+        digest = hashlib.sha256(
+            dump_samples(reference_sample_dual(PINNED_BASIS, PINNED_CFG, 200)).encode()
+        )
         assert digest.hexdigest() == (
             "2ab2257de2b5838f8b464434539dc3af584bd6f7aeb313f34cb63a07963cd58b"
         )
@@ -185,3 +294,90 @@ class TestSampler:
         samples = sample_dual(b, cfg, 4000)
         rate = sum(s.failed for s in samples) / len(samples)
         assert abs(rate - 0.25) < 0.03
+
+
+class TestNearestPlaneAgainstReference:
+    """The nearest-plane sampler on seeded non-symmetric rational bases of
+    dims 2-4, at sigma = the GPV bound of the LLL-reduced basis."""
+
+    BASES = seeded_rational_bases(2024)
+    DRAWS = 4000
+
+    @pytest.mark.parametrize("idx", range(len(BASES)))
+    def test_draws_in_ball_and_coords_reproduce_point(self, idx):
+        b = self.BASES[idx]
+        sigma = gpv_sigma(b)
+        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=idx)
+        for s in sample_dual(b, cfg, 300, precision_bits=96):
+            point = b.row_combination(s.ground_truth_coords)
+            assert norm_sq(point) <= 9 * sigma * sigma
+            # with no noise the output is the float of the exact point
+            for got, want in zip(s.y_tilde.to_rationals(), point):
+                assert abs(got - want) <= abs(want) * F(1, 2**52) + F(1, 2**96)
+
+    @pytest.mark.parametrize("idx", range(len(BASES)))
+    def test_frequencies_match_reference(self, idx):
+        """Pearson chi^2 of the draws against the reference probabilities.
+
+        Bins are (coordinate parity class, decile of the reference's norm
+        distribution), so both the radial profile and the index-2 sublattice
+        masses are compared; bins expected to get fewer than 5 draws are
+        pooled. The bound is the 1e-6 upper tail of chi^2 with bins - 1
+        degrees of freedom. At sigma >= the GPV bound the nearest-plane
+        distribution is within O(n eps) of the reference (eps = 2^-10), far
+        below what 4000 draws resolve, so the test fails only if the draws
+        follow another law.
+        """
+        b = self.BASES[idx]
+        sigma = gpv_sigma(b)
+        coords, cum, _ = reference_support(b, sigma)
+        probs = [c - p for c, p in zip(cum, [0.0] + cum[:-1])]
+        scale = common_denominator(b) ** 2
+        norms = {x: n for x, n in lattice_points_in_ball(b, 9 * sigma * sigma)}
+        # norm deciles of the reference distribution
+        order = sorted(range(len(coords)), key=lambda i: norms[coords[i]])
+        decile, acc = {}, 0.0
+        for i in order:
+            decile[coords[i]] = min(int(acc * 10), 9)
+            acc += probs[i]
+
+        def key(x):
+            return tuple(c % 2 for c in x), decile[x]
+
+        expected = Counter()
+        for x, p in zip(coords, probs):
+            expected[key(x)] += p * self.DRAWS
+        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=100 + idx)
+        observed = Counter()
+        for s in sample_dual(b, cfg, self.DRAWS):
+            x = s.ground_truth_coords
+            assert x in norms, "draw outside the 3 sigma ball"
+            assert F(norms[x], scale) == norm_sq(b.row_combination(x))
+            observed[key(x)] += 1
+
+        big = [k for k in expected if expected[k] >= 5]
+        pooled_e = sum(e for k, e in expected.items() if k not in big)
+        pooled_o = sum(o for k, o in observed.items() if k not in big)
+        chi2 = sum((observed[k] - expected[k]) ** 2 / expected[k] for k in big)
+        bins = len(big)
+        if pooled_e >= 5:
+            chi2 += (pooled_o - pooled_e) ** 2 / pooled_e
+            bins += 1
+        assert bins >= 10
+        assert chi2 <= chi_square_bound(bins - 1), (chi2, bins)
+
+    def test_gpv_sigma_is_an_upper_bound(self):
+        for b in self.BASES:
+            kb = klein_basis(b)
+            factor = math.log(2 * b.m * (1 + 1 / GPV_EPSILON)) / math.pi
+            assert gpv_sigma(b) ** 2 >= kb.gs_norm_sq_max * F(factor)
+            assert float(gpv_sigma(b)) ** 2 <= float(kb.gs_norm_sq_max) * factor * (1 + 1e-9)
+
+    def test_below_gpv_bound_stays_in_ball(self):
+        """An explicit sigma below the bound is used as given; draws still
+        lie in its 3 sigma ball."""
+        b = self.BASES[-1]
+        sigma = gpv_sigma(b) / 3
+        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=3)
+        for s in sample_dual(b, cfg, 200):
+            assert norm_sq(b.row_combination(s.ground_truth_coords)) <= 9 * sigma * sigma

@@ -193,6 +193,8 @@ class TestExitCodes:
         # three multiples of (1, 0): rank 1 in dimension 2, enough bits for q
         "rank1.json": {"q": 16, "mu": "1", "D": "4",
                        "vectors": [[1 << 16, 0], [2 << 16, 0], [3 << 16, 0]]},
+        "array.json": [["1", "0"], ["0", "1"]],
+        "id2.json": {"m": 2, "rows": [["1", "0"], ["0", "1"]]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -211,6 +213,18 @@ class TestExitCodes:
         ("contract-violation",
          ["recover", "--synthetic", "--dim", "2", "--index", "3", "--seed", "1", "--k", "24"],
          3, "error: recovered index 3 exceeds the bound 1"),
+        ("array-reduce", ["reduce", "--in", "array.json"], 1,
+         "error: array.json: top level must be a JSON object, not list"),
+        ("array-sample", ["sample", "--dual", "array.json"], 1,
+         "error: array.json: top level must be a JSON object, not list"),
+        ("array-bp", ["bp", "--in", "array.json"], 1,
+         "error: array.json: top level must be a JSON object, not list"),
+        ("sample-negative-precision",
+         ["sample", "--dual", "id2.json", "--precision-bits", "-1"], 1,
+         "error: fixed-point exponent must be >= 0"),
+        ("recover-negative-precision",
+         ["recover", "--cyclotomic", "5", "--precision-bits", "-1"], 1,
+         "error: fixed-point exponent must be >= 0"),
     ]
 
     @pytest.mark.parametrize("name,argv,code,prefix", CASES, ids=[c[0] for c in CASES])
@@ -245,6 +259,7 @@ class TestRejectedFlags:
         ("sample", ["--format", "csv"]),
         ("recover", ["--k", "0"]),
         ("sample", ["--count", "-2"]),
+        ("estimate", ["--tau-log2", "-3", "--compare"]),
     ]
     BASE = {
         "recover": ["recover", "--synthetic"],

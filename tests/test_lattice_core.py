@@ -222,6 +222,7 @@ class TestIntegerGaussJordanMatchesReference:
             assert b.inverse_rows() == inv
             dual = b.dual()
             assert dual.rows == tuple(zip(*inv)) and dual.det() == 1 / det
+            assert dual.dual() is b
             t = b.transpose()
             assert t.rows == tuple(zip(*b.rows)) and t.det() == det
             # unit upper-triangular integer shear: det(B U) = det B

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from unitlat.lattice_core import BasisMatrix, ConfigurationError, RankError, norm_sq
+from unitlat.lattice_core import BasisMatrix, ConfigurationError, RankError, gram_schmidt, norm_sq
 from unitlat.recovery import cyclotomic_log_basis
 from unitlat.reduction import (
     DEFAULT_DELTA,
@@ -17,6 +17,7 @@ from unitlat.reduction import (
     hnf_rational,
     is_reduced,
     lll_reduce,
+    lll_reduce_gram,
     lll_reduce_rows,
     snf,
 )
@@ -147,6 +148,26 @@ class TestIntegerCoreMatchesReference:
                 red_m, u_m = lll_reduce(BasisMatrix(rows), delta)
                 assert red_m.rows == tuple(tuple(e.a for e in r) for r in ref_b)
                 assert u_m.rows == tuple(tuple(e.a for e in r) for r in ref_u)
+
+    def test_gram_data_is_that_of_the_reduced_basis(self):
+        """lll_reduce_gram returns lll_reduce's basis and transform, and the
+        Gram data the loop kept equals the exact Gram-Schmidt of the result."""
+        rng = random.Random(7)
+        for case in range(24):
+            bits = (1, 4, 32, 128)[case % 4]
+            rows = rand_rows(rng, rng.randint(2, 6), bits, case % 2 == 1, False)
+            try:
+                b = BasisMatrix(rows)
+            except RankError:
+                continue
+            den, ints, u, d, lam = lll_reduce_gram(b)
+            red, u_ref = lll_reduce(b)
+            assert [[F(x, den) for x in r] for r in ints] == [list(r) for r in red.rows]
+            assert [tuple(r) for r in u] == [tuple(int(x) for x in r) for r in u_ref.rows]
+            gs = gram_schmidt(red)
+            assert [F(d[i + 1], d[i] * den * den) for i in range(b.m)] == list(gs.norms_sq())
+            for k in range(b.m):
+                assert [F(lam[k][j], d[j + 1]) for j in range(k)] == list(gs.mu[k])
 
     def test_dependent_rows_raise(self):
         rng = random.Random(11)
