@@ -288,6 +288,24 @@ class TestSampler:
             "2ab2257de2b5838f8b464434539dc3af584bd6f7aeb313f34cb63a07963cd58b"
         )
 
+    def test_huge_gram_schmidt_norm(self):
+        """A level with ||b~_i||^2 far beyond the float range holds only the
+        points (a, 0); its weight is capped, not overflowed."""
+        b = BasisMatrix([[F(1), F(0)], [F(0), F(10) ** 400]])
+        cfg = SamplerConfig(delta=0, r=4, eta=0, sigma=1, seed=7)
+        samples = sample_dual(b, cfg, 200)
+        assert {s.ground_truth_coords[1] for s in samples} == {0}
+        assert len({s.ground_truth_coords[0] for s in samples}) > 1
+        assert all(abs(s.ground_truth_coords[0]) <= 3 for s in samples)
+
+    def test_too_wide_level_is_rejected(self):
+        """sigma over a Gram-Schmidt norm of 10^-400 would give a level of
+        about 10^400 integers: a configuration error, not an exhausted memory."""
+        b = BasisMatrix([[F(1), F(0)], [F(0), F(1, 10**400)]])
+        cfg = SamplerConfig(delta=0, r=4, eta=0, sigma=1, seed=7)
+        with pytest.raises(ConfigurationError, match="too wide"):
+            sample_dual(b, cfg, 1)
+
     def test_failure_injection_rate(self):
         b = BasisMatrix.identity(2)
         cfg = SamplerConfig(delta=0, r=7, eta=F(1, 4), sigma=2, seed=6)
@@ -370,8 +388,8 @@ class TestNearestPlaneAgainstReference:
         for b in self.BASES:
             kb = klein_basis(b)
             factor = math.log(2 * b.m * (1 + 1 / GPV_EPSILON)) / math.pi
-            assert gpv_sigma(b) ** 2 >= kb.gs_norm_sq_max * F(factor)
-            assert float(gpv_sigma(b)) ** 2 <= float(kb.gs_norm_sq_max) * factor * (1 + 1e-9)
+            assert gpv_sigma(b) ** 2 >= max(kb.gs_norm_sq) * F(factor)
+            assert float(gpv_sigma(b)) ** 2 <= float(max(kb.gs_norm_sq)) * factor * (1 + 1e-9)
 
     def test_below_gpv_bound_stays_in_ball(self):
         """An explicit sigma below the bound is used as given; draws still

@@ -213,6 +213,8 @@ class TestExitCodes:
         ("contract-violation",
          ["recover", "--synthetic", "--dim", "2", "--index", "3", "--seed", "1", "--k", "24"],
          3, "error: recovered index 3 exceeds the bound 1"),
+        ("synthetic-dim-150", ["recover", "--synthetic", "--dim", "150"], 1,
+         "error: nearest-plane draws left the 3 sigma ball"),
         ("array-reduce", ["reduce", "--in", "array.json"], 1,
          "error: array.json: top level must be a JSON object, not list"),
         ("array-sample", ["sample", "--dual", "array.json"], 1,
