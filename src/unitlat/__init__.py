@@ -6,10 +6,6 @@ __version__ = "0.1.0"
 from .lattice_core import (
     BasisMatrix,
     FixedPointVector,
-    GramSchmidtData,
-    dual_basis,
-    gram_schmidt,
-    lambda1_dual_bounds,
     op_norm,
     sublattice_index,
 )
@@ -30,10 +26,6 @@ from .estimator import FieldProfile, ResourceEstimate, qubit_count_cyclotomic, q
 __all__ = [
     "BasisMatrix",
     "FixedPointVector",
-    "GramSchmidtData",
-    "dual_basis",
-    "gram_schmidt",
-    "lambda1_dual_bounds",
     "op_norm",
     "sublattice_index",
     "RingDescriptor",

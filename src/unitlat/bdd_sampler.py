@@ -1,10 +1,10 @@
 """Babai rounding BDD and a classical simulation of the dual lattice sampler.
 
 The sampler draws a dual point from the discrete Gaussian of width sigma
-truncated to the ball of radius 3 sigma, perturbs it inside a ball whose
-radius is a fraction of lambda_1 of the dual, and injects outright failures
-with a configured probability. Each record keeps the planted ground-truth
-point so statistical contracts can be verified after the fact.
+truncated to the ball of radius 3 sigma, perturbs it inside a ball of radius
+delta times (a lower bound on) lambda_1 of the dual, and injects outright
+failures with a configured probability. Each record keeps the planted
+ground-truth point so statistical contracts can be verified after the fact.
 
 The draw is Klein's nearest-plane sampler over the LLL-reduced basis (Klein,
 SODA 2000; Gentry-Peikert-Vaikuntanathan, STOC 2008), one 1-D Gaussian per
@@ -12,6 +12,11 @@ Gram-Schmidt level, kept only if the exact integer norm is within the ball.
 Its cost is polynomial in the dimension: nothing enumerates the ball. Above
 the GPV width (gpv_sigma) its law is within O(n eps) of the truncated
 discrete Gaussian; below it the draws still lie in the ball.
+
+The same LLL gives lambda1_sq_bracket, lo <= lambda_1^2 <= hi from the
+reduced rows' integer Gram data: exact (enumerated, no second LLL) up to
+ENUMERATION_DIM_LIMIT, a pair of bounds above it. The noise radius and the
+contract check read lo; the Babai hypothesis of the recovery reads hi.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import functools
 import json
 import math
 import random
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +43,7 @@ from .lattice_core import (
     sqrt_lower,
     sqrt_upper,
 )
-from .enumeration import ENUMERATION_DIM_LIMIT, PAD, shortest_vector_sq
+from .enumeration import ENUMERATION_DIM_LIMIT, _shortest_sq
 from .reduction import lll_reduce_gram
 
 
@@ -102,22 +108,6 @@ def load_samples(text: str) -> list:
     return [SampleRecord.from_json(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
-def lambda1_sq_bound(basis: BasisMatrix) -> Fraction:
-    """Exact lambda_1^2 for small dimensions, else a sound lower bound; kept
-    with the sampler's per-basis data (klein_basis)."""
-    return klein_basis(basis).lam_sq
-
-
-def lambda1_sq_lower_bound(basis: BasisMatrix) -> Fraction:
-    """Sound lower bound 1 / max_j ||row_j((B^t)^-1)||^2 on lambda_1^2, any dim.
-
-    A nonzero lattice vector v = x B has some coordinate x_j =
-    <v, row_j((B^t)^-1)> that is a nonzero integer, so
-    1 <= ||v|| ||row_j((B^t)^-1)|| by Cauchy-Schwarz.
-    """
-    return 1 / op_norm_two_sq(basis.dual())
-
-
 def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
     """Round a point near M* to M*: z = round(B_M^t y), its coordinates in
     the dual basis (B_M^t)^-1.
@@ -141,6 +131,12 @@ MAX_REJECTIONS = 1000
 # ||b~_i||^2 / sigma^2 that keeps the level weights finite floats
 MAX_WINDOW = 2**20
 _RATIO_CAP = Fraction(2**600)
+# relative padding of the float level windows; see _klein_draw
+PAD = 2.0**-40
+# with sigma and lambda_1 at most this, the failure box 4 (3 sigma + 1), the
+# points (norm <= 3 sigma) and the noise (radius < lambda_1 / 2) stay finite
+# floats
+_FLOAT_LIMIT = Fraction(sys.float_info.max) / 16
 
 
 @dataclass(frozen=True)
@@ -150,9 +146,8 @@ class KleinBasis:
     The reduced basis is R = U B with U unimodular; den * R = rows in
     integers. gs_norm_sq[i] = ||b~_i||^2 exactly, and mu[i][j - i - 1] =
     mu_ji (j > i) are floats of R's Gram-Schmidt coefficients (|mu_ji| <= 1/2
-    after size reduction). lam_sq is lambda_1^2, exact up to
-    ENUMERATION_DIM_LIMIT (enumerated over R), above it
-    lambda1_sq_lower_bound(B).
+    after size reduction). lam_sq_bracket = (lo, hi) with
+    lo <= lambda_1^2 <= hi, see lambda1_sq_bracket.
     """
 
     den: int
@@ -160,22 +155,22 @@ class KleinBasis:
     transform: tuple
     gs_norm_sq: tuple
     mu: tuple
-    lam_sq: Fraction
+    lam_sq_bracket: tuple
 
 
 @functools.lru_cache(maxsize=16)
 def klein_basis(basis: BasisMatrix) -> KleinBasis:
-    """The LLL-reduced basis and its Gram-Schmidt data, once per basis."""
+    """The LLL-reduced basis, its Gram-Schmidt data and the lambda_1^2
+    bracket, from one LLL per basis."""
     den, ints, transform, d, lam = lll_reduce_gram(basis)
     m = basis.m
     scale = den * den
     gs_sq = [Fraction(d[i + 1], d[i] * scale) for i in range(m)]
     if m <= ENUMERATION_DIM_LIMIT:
-        reduced = BasisMatrix([[Fraction(x, den) for x in row] for row in ints])
-        # reducing R again makes no swap: about 1 ms at dimension 5
-        lam_sq = shortest_vector_sq(reduced)
+        lo = hi = _shortest_sq(den, ints, d, lam)
     else:
-        lam_sq = lambda1_sq_lower_bound(basis)
+        lo = 1 / op_norm_two_sq(basis.dual())
+        hi = Fraction(min(sum(x * x for x in row) for row in ints), scale)
     return KleinBasis(
         den=den,
         rows=tuple(tuple(row) for row in ints),
@@ -184,8 +179,21 @@ def klein_basis(basis: BasisMatrix) -> KleinBasis:
         mu=tuple(
             tuple(lam[j][i] / d[i + 1] for j in range(i + 1, m)) for i in range(m)
         ),
-        lam_sq=lam_sq,
+        lam_sq_bracket=(lo, hi),
     )
+
+
+def lambda1_sq_bracket(basis: BasisMatrix) -> tuple:
+    """(lo, hi) with lo <= lambda_1^2 <= hi, both exact rationals.
+
+    Up to ENUMERATION_DIM_LIMIT, lo = hi = lambda_1^2, enumerated over the
+    LLL-reduced basis. Above it, lo = 1 / max_j ||row_j((B^t)^-1)||^2: a
+    nonzero lattice vector v = x B has some coordinate x_j =
+    <v, row_j((B^t)^-1)> that is a nonzero integer, so
+    1 <= ||v|| ||row_j((B^t)^-1)|| by Cauchy-Schwarz; and hi is the least
+    squared row norm of the LLL-reduced basis, a nonzero lattice vector.
+    """
+    return klein_basis(basis).lam_sq_bracket
 
 
 def gpv_sigma(basis: BasisMatrix) -> Fraction:
@@ -266,10 +274,20 @@ def sample_dual(
     halves = [3.0 / math.sqrt(float(t)) for t in ratios]
     radius_sq = 9 * cfg.sigma * cfg.sigma * kb.den * kb.den
     bound = radius_sq.numerator // radius_sq.denominator
-    # stay strictly inside the advertised radius so the exact coverage check
-    # is immune to float rounding at the boundary
-    noise_radius = 0.999 * float(sqrt_lower(kb.lam_sq)) * float(cfg.delta)
+    if cfg.sigma > _FLOAT_LIMIT:
+        raise ConfigurationError("sigma is beyond the float range")
     box = 4.0 * (3.0 * float(cfg.sigma) + 1.0)
+    noise_radius = 0.0
+    if cfg.delta:
+        lam_lo = sqrt_lower(kb.lam_sq_bracket[0])
+        if lam_lo > _FLOAT_LIMIT:
+            raise ConfigurationError(
+                "lambda_1 is beyond the float range, and so is the noise radius "
+                "delta * lambda_1; sample with delta = 0"
+            )
+        # stay strictly inside the advertised radius so the exact coverage
+        # check is immune to float rounding at the boundary
+        noise_radius = 0.999 * float(lam_lo) * float(cfg.delta)
 
     rng = random.Random(cfg.seed)
     out = []
@@ -311,8 +329,8 @@ def verify_sampler_contract(
     if n == 0:
         raise ValueError("no samples to verify")
     m = b_l_star.m
-    lam_sq = lambda1_sq_bound(b_l_star)
-    radius_sq = Fraction(cfg.delta) ** 2 * lam_sq
+    lam_sq_lo, _ = lambda1_sq_bracket(b_l_star)
+    radius_sq = Fraction(cfg.delta) ** 2 * lam_sq_lo
 
     covered = 0
     inside_r = 0

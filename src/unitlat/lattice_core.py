@@ -1,10 +1,12 @@
-"""Exact lattice substrate: rational basis matrices, duals, norms, Gram-Schmidt.
+"""Exact lattice substrate: rational basis matrices, duals, norms, integer
+Gram-Schmidt data.
 
 Everything here is exact: matrix entries are `fractions.Fraction`, and
 determinants and inverses come from one fraction-free integer Gauss-Jordan
-on the rows scaled to integers (integer_rows). The only place irrational
-values appear (row 2-norms) they are returned as a rational upper bound with
-relative error below 2**-64 next to the exact square.
+on the rows scaled to integers (integer_rows), and the Gram-Schmidt data of
+integer rows are the integer Gram determinants and scaled coefficients that
+LLL and enumeration share (gram_data). Square roots of rationals are
+bracketed by rational bounds with relative error below 2**-64.
 
 The package's error classes live here too, all under UnitlatError.
 """
@@ -340,74 +342,41 @@ def _gauss_jordan(a: list, m: int) -> int:
     return sign * prev
 
 
-@dataclass(frozen=True)
-class GramSchmidtData:
-    """Exact Gram-Schmidt orthogonalization of a basis.
+def gram_data(rows) -> tuple:
+    """Integer Gram-Schmidt data (d, lam) of linearly independent integer
+    rows b_0, ..., b_{n-1} (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7, step 1).
 
-    orthogonal[i] is b_i*, mu[i][j] = <b_i, b_j*> / ||b_j*||^2 for j < i.
+    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so
+    ||b_i*||^2 = d[i+1] / d[i], and lam[k][j] = d[j+1] mu_kj for j < k. Both
+    are integers and every division below is exact. Dependent rows raise
+    RankError.
     """
-
-    orthogonal: tuple
-    mu: tuple
-
-    def norms_sq(self) -> tuple:
-        return tuple(norm_sq(v) for v in self.orthogonal)
-
-
-def gram_schmidt(basis: BasisMatrix) -> GramSchmidtData:
-    """Orthogonalize the rows; reconstruction b_i = b_i* + sum mu_ij b_j* is exact."""
-    ortho = []
-    mus = []
-    for row in basis.rows:
-        v = list(row)
-        mu_row = []
-        for prev in ortho:
-            c = dot(row, prev) / norm_sq(prev)
-            mu_row.append(c)
-            v = [x - c * y for x, y in zip(v, prev)]
-        ortho.append(tuple(v))
-        mus.append(tuple(mu_row))
-    return GramSchmidtData(tuple(ortho), tuple(mus))
+    n = len(rows)
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            g = sum(x * y for x, y in zip(rows[k], rows[j]))
+            for i in range(j):
+                g = (d[i + 1] * g - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = g
+            else:
+                d[k + 1] = g
+        if d[k + 1] == 0:
+            raise RankError("rows are dependent over the ring's fraction field")
+    return d, lam
 
 
-def dual_basis(basis: BasisMatrix) -> BasisMatrix:
-    """Rows generating the dual lattice: (B^t)^-1."""
-    return basis.dual()
-
-
-def op_norm(basis: BasisMatrix, mode: str = "inf_one") -> Fraction:
-    """Operator norm of the matrix.
-
-    inf_one: max over columns of the column absolute sum (exact).
-    two_rowmax: max over rows of the row 2-norm, returned as a rational upper
-    bound with relative error <= 2**-64; see op_norm_two_sq for the exact square.
-    """
-    if mode == "inf_one":
-        return max(
-            sum((abs(x) for x in col), Fraction(0)) for col in zip(*basis.rows)
-        )
-    if mode == "two_rowmax":
-        return sqrt_upper(op_norm_two_sq(basis))
-    raise ValueError(f"unknown operator norm mode {mode!r}")
+def op_norm(basis: BasisMatrix) -> Fraction:
+    """The (inf, 1) operator norm: max over columns of the column absolute sum."""
+    return max(sum((abs(x) for x in col), Fraction(0)) for col in zip(*basis.rows))
 
 
 def op_norm_two_sq(basis: BasisMatrix) -> Fraction:
     """Exact square of the max row 2-norm."""
     return max(norm_sq(row) for row in basis.rows)
-
-
-def lambda1_dual_bounds(basis: BasisMatrix) -> tuple:
-    """Sound rational bounds (lower, upper) on 1/lambda_1 of the dual lattice.
-
-    lower = 1 / (the shortest row 2-norm of the dual basis, rounded up): every
-    dual basis row is a nonzero dual vector, so lambda_1(L*) <= its norm.
-    upper = the max row 2-norm of B, rounded up: a nonzero dual vector w has
-    <w, b_i> a nonzero integer for some row b_i, so 1 <= ||w|| ||b_i||.
-    """
-    lower = 1 / sqrt_upper(min(norm_sq(row) for row in basis.dual().rows))
-    upper = op_norm(basis, "two_rowmax")
-    assert lower <= upper
-    return lower, upper
 
 
 def sublattice_index(b_m: BasisMatrix, b_l: BasisMatrix) -> int:

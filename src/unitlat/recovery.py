@@ -20,7 +20,7 @@ from .bdd_sampler import (
     SamplerConfig,
     babai_bdd,
     gpv_sigma,
-    lambda1_sq_bound,
+    lambda1_sq_bracket,
     sample_dual,
 )
 from .buchmann_pohst import BPParams, bp_reduce
@@ -30,7 +30,6 @@ from .lattice_core import (
     FixedPointVector,
     PrecisionError,
     UnitlatError,
-    dual_basis,
     op_norm,
     op_norm_two_sq,
     sqrt_upper,
@@ -55,7 +54,7 @@ class RecoveryProblem:
     hidden_dual: basis of L* the simulator secretly samples from.
     index_bound: promised upper bound on [L : M].
     det_l_bound: upper bound on det L (sample-count formula).
-    lambda1_dual_bound: bound on lambda_1(L*); consumed by the Babai
+    lambda1_dual_bound: upper bound on lambda_1(L*); consumed by the Babai
     hypothesis check delta * lambda_1(L*) < 1 / (2 ||B_M||_2).
     dual_det_bound: upper bound on det L* (baseline pipeline only).
     tau_log2: target output precision of the baseline, in bits.
@@ -247,7 +246,7 @@ def precision_gap_report(problem: RecoveryProblem, k: int = None) -> dict:
     k = _sample_count(problem, k)
     lam = float(problem.lambda1_dual_bound)
     det_l = float(problem.det_l_bound)
-    b_dual_inf = float(op_norm(problem.hidden_dual, "inf_one"))
+    b_dual_inf = float(op_norm(problem.hidden_dual))
     q_baseline = math.ceil(
         m * k
         + m * math.log2(max(b_dual_inf, 1e-300))
@@ -321,9 +320,10 @@ def build_cyclotomic_problem(
     """Recovery instance with M = L = the conductor-m log lattice (class-like
     index 1), sampled through its dual."""
     b_m = cyclotomic_log_basis(m, precision_bits)
-    b_dual = dual_basis(b_m)
-    lam_sq = lambda1_sq_bound(b_dual)
-    lam_up = sqrt_upper(lam_sq)
+    b_dual = b_m.dual()
+    # the Babai hypothesis needs an upper bound on lambda_1(L*)
+    _, lam_sq_hi = lambda1_sq_bracket(b_dual)
+    lam_up = sqrt_upper(lam_sq_hi)
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     if delta is None:
         # half of what the Babai hypothesis allows

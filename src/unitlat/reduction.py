@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, integer_rows
+from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, gram_data, integer_rows
 from .rings import (
     INTEGERS,
     RingDescriptor,
@@ -172,9 +172,8 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
     """Exact LLL over Z on integer rows, in integers only; returns
     (rows, transform, d, lam), the last two the reduced rows' Gram data.
 
-    d[i] is the Gram determinant of rows 0..i-1 (d[0] = 1), so
-    ||b_i*||^2 = d[i+1] / d[i], and lam[k][j] = d[j+1] * mu_kj for j < k;
-    both are integers, kept exact for the current rows throughout, and every
+    d and lam start as gram_data(rows) (Gram determinants and lam[k][j] =
+    d[j+1] mu_kj) and are kept exact for the current rows throughout; every
     division below is exact. The decisions are those of _lll_rows: row k is
     size-reduced against k-1, ..., 0 with q = round_half_away(mu_kj), then
     the Lovasz test d[k+1] d[k-1] + lam^2 >= delta d[k]^2 decides between
@@ -185,20 +184,7 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
     n = len(rows)
     b = [list(row) for row in rows]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = [1] * (n + 1)
-    lam = [[0] * k for k in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            g = sum(x * y for x, y in zip(b[k], b[j]))
-            for i in range(j):
-                g = (d[i + 1] * g - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = g
-            else:
-                d[k + 1] = g
-        if d[k + 1] == 0:
-            raise RankError("rows are dependent over the ring's fraction field")
-
+    d, lam = gram_data(b)
     k = 1
     while k < n:
         lk = lam[k]

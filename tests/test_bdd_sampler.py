@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from unitlat import bdd_sampler
 from unitlat.bdd_sampler import (
     GPV_EPSILON,
     SampleRecord,
@@ -16,8 +17,7 @@ from unitlat.bdd_sampler import (
     dump_samples,
     gpv_sigma,
     klein_basis,
-    lambda1_sq_bound,
-    lambda1_sq_lower_bound,
+    lambda1_sq_bracket,
     load_samples,
     sample_dual,
     verify_sampler_contract,
@@ -68,7 +68,7 @@ def reference_support(b_l_star, sigma):
     for w in weights:
         acc += w / total
         cum.append(acc)
-    return [x for x, _ in points], cum, lambda1_sq_bound(b_l_star)
+    return [x for x, _ in points], cum, shortest_vector_sq(b_l_star)
 
 
 def reference_bisect(cum, u):
@@ -207,25 +207,73 @@ class TestBabai:
             babai_bdd(FixedPointVector((1, 2, 3), 4), BasisMatrix.identity(2))
 
 
-class TestLambda1Bound:
+def bracket(basis, beyond_limit=False):
+    """lambda1_sq_bracket(basis); with beyond_limit, as klein_basis computes
+    it above ENUMERATION_DIM_LIMIT: the bound pair, here on bases small
+    enough to enumerate."""
+    with pytest.MonkeyPatch.context() as mp:
+        if beyond_limit:
+            mp.setattr(bdd_sampler, "ENUMERATION_DIM_LIMIT", 1)
+        klein_basis.cache_clear()
+        try:
+            return lambda1_sq_bracket(basis)
+        finally:
+            klein_basis.cache_clear()
+
+
+def assert_brackets(b, lam_sq, beyond_limit=False):
+    lo, hi = bracket(b, beyond_limit)
+    assert 0 < lo <= lam_sq <= hi
+
+
+class TestLambda1Bracket:
     def test_exact_small(self):
-        assert lambda1_sq_bound(BasisMatrix.identity(3)) == 1
-        assert lambda1_sq_bound(BasisMatrix.diagonal([F(3), F(5)])) == 9
+        assert lambda1_sq_bracket(BasisMatrix.identity(3)) == (1, 1)
+        assert lambda1_sq_bracket(BasisMatrix.diagonal([F(3), F(5)])) == (9, 9)
 
-    def test_sound_lower_bound_large(self):
+    def test_sound_large(self):
         b = BasisMatrix.identity(10)  # above the enumeration dimension limit
-        assert lambda1_sq_bound(b) <= 1
+        assert_brackets(b, 1)
 
-    def test_lower_bound_on_non_symmetric_example(self):
-        # the former (inf,1)-norm bound claimed lambda_1^2 >= 2.133 here
+    def test_non_symmetric_example(self):
+        # the former (inf,1)-norm bound claimed lambda_1^2 >= 2.133 here, and
+        # 1/lambda_1(L*) <= 6.33 for the dual, where it is 6.82
         b = BasisMatrix([[F(6), F(-5)], [F(-1, 4), F(-4, 3)]])
         assert shortest_vector_sq(b) == F(265, 144)
-        assert lambda1_sq_lower_bound(b) <= F(265, 144)
+        assert bracket(b) == (F(265, 144), F(265, 144))
+        assert_brackets(b, F(265, 144), beyond_limit=True)
+        assert_brackets(b.dual(), shortest_vector_sq(b.dual()), beyond_limit=True)
 
+    def test_skewed_example(self):
+        # L = L* = Z^2; the former 2^(-3m) times (inf,1)-norm bound gave
+        # 1/lambda_1(L*) >= 1001/64
+        b = BasisMatrix([[F(1), F(0)], [F(1000), F(1)]])
+        for basis in (b, b.dual()):
+            assert_brackets(basis, 1, beyond_limit=True)
+            assert bracket(basis, beyond_limit=True)[1] == 1
+
+    @pytest.mark.parametrize("beyond_limit", [False, True])
     @given(rational_bases())
-    @settings(max_examples=150, deadline=None)
-    def test_lower_bound_sound(self, b):
-        assert lambda1_sq_lower_bound(b) <= shortest_vector_sq(b)
+    @settings(max_examples=75, deadline=None)
+    def test_sound(self, beyond_limit, b):
+        """lo <= lambda_1^2 <= hi exactly, for the basis and for its dual, on
+        random non-integral non-symmetric bases of dims 2-4, in both regimes;
+        below the limit both ends are lambda_1^2."""
+        for basis in (b, b.dual()):
+            lam_sq = shortest_vector_sq(basis)
+            assert_brackets(basis, lam_sq, beyond_limit)
+            if not beyond_limit:
+                assert bracket(basis) == (lam_sq, lam_sq)
+
+    @pytest.mark.parametrize("idx", range(4))
+    def test_sound_above_limit(self, idx):
+        """Seeded non-symmetric rational bases of dimensions 9 and 10, where
+        the bracket is the bound pair, against the enumerated lambda_1^2."""
+        (b,) = seeded_rational_bases(900 + idx, dims=(9 + idx % 2,), per_dim=1)
+        lam_sq = shortest_vector_sq(b)
+        lo, hi = lambda1_sq_bracket(b)
+        assert lo <= lam_sq <= hi
+        assert lo < hi  # the bound pair, not an enumerated value
 
 
 class TestSampler:

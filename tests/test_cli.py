@@ -160,6 +160,20 @@ class TestReduceBPSample:
         contract = json.loads(lines[-1])["contract"]
         assert contract["coverage"] == 1.0
 
+    def test_sample_beyond_float_range_delta_zero(self, capsys, tmp_path):
+        """lambda_1 = 10^400 does not fit in a float; with no noise the draw
+        never needs it to, and lands on the lattice points (a, 0) with
+        |a| 10^400 <= 3 sigma, i.e. on 0."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"m": 2, "rows": [["1e400", "0"], ["0", "1e400"]]}))
+        code, out, _ = run_cli(
+            ["sample", "--dual", str(path), "--count", "20", "--verify"], capsys
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert all(json.loads(line)["gt"] == [0, 0] for line in lines[:-1])
+        assert json.loads(lines[-1])["contract"]["coverage"] == 1.0
+
     def test_reduce_verify_is_the_lll_certificate(self, capsys, tmp_path):
         """diag(1, 100) is LLL-reduced (it fails only the near-cubic norm
         shape check), and so is a reduced Gaussian-integer basis."""
@@ -195,6 +209,8 @@ class TestExitCodes:
                        "vectors": [[1 << 16, 0], [2 << 16, 0], [3 << 16, 0]]},
         "array.json": [["1", "0"], ["0", "1"]],
         "id2.json": {"m": 2, "rows": [["1", "0"], ["0", "1"]]},
+        # lambda_1 = 10^400, beyond the float range
+        "huge.json": {"m": 2, "rows": [["1e400", "0"], ["0", "1e400"]]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -224,6 +240,11 @@ class TestExitCodes:
         ("sample-negative-precision",
          ["sample", "--dual", "id2.json", "--precision-bits", "-1"], 1,
          "error: fixed-point exponent must be >= 0"),
+        ("sample-huge-lambda-noise",
+         ["sample", "--dual", "huge.json", "--delta", "1/4"], 1,
+         "error: lambda_1 is beyond the float range"),
+        ("sample-huge-sigma", ["sample", "--dual", "huge.json", "--sigma", "1e400"], 1,
+         "error: sigma is beyond the float range"),
         ("recover-negative-precision",
          ["recover", "--cyclotomic", "5", "--precision-bits", "-1"], 1,
          "error: fixed-point exponent must be >= 0"),

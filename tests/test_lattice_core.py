@@ -6,12 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unitlat
-from unitlat.enumeration import shortest_vector_sq
-
 from unitlat.lattice_core import (
     BasisMatrix,
     ContainmentError,
@@ -19,9 +17,7 @@ from unitlat.lattice_core import (
     RankError,
     UnitlatError,
     dot,
-    dual_basis,
-    gram_schmidt,
-    lambda1_dual_bounds,
+    gram_data,
     norm_sq,
     nth_root_upper,
     op_norm,
@@ -241,24 +237,24 @@ class TestIntegerGaussJordanMatchesReference:
 class TestDual:
     def test_identity_self_dual(self):
         b = BasisMatrix.identity(2)
-        assert dual_basis(b).rows == b.rows
+        assert b.dual().rows == b.rows
 
     def test_diag(self):
         b = BasisMatrix.diagonal([F(2), F(3)])
-        d = dual_basis(b)
+        d = b.dual()
         assert d.rows == BasisMatrix.diagonal([F(1, 2), F(1, 3)]).rows
         assert d.det() * b.det() == 1
 
     def test_shear_example(self):
         b = BasisMatrix([[F(1), F(1)], [F(0), F(1)]])
-        d = dual_basis(b)
+        d = b.dual()
         assert [list(r) for r in d.rows] == [[F(1), F(0)], [F(-1), F(1)]]
 
     def test_biorthogonality_random(self):
         rng = random.Random(7)
         for _ in range(20):
             b = rand_basis(rng, 3)
-            d = dual_basis(b)
+            d = b.dual()
             for i in range(3):
                 for j in range(3):
                     assert dot(b.rows[i], d.rows[j]) == int(i == j)
@@ -267,77 +263,37 @@ class TestDual:
         rng = random.Random(11)
         for _ in range(10):
             b = rand_basis(rng, 3)
-            assert dual_basis(dual_basis(b)).rows == b.rows
+            assert b.dual().dual().rows == b.rows
 
 
 class TestOperatorNorms:
     def test_inf_one_identity(self):
-        assert op_norm(BasisMatrix.identity(3), "inf_one") == 1
+        assert op_norm(BasisMatrix.identity(3)) == 1
 
     def test_inf_one_column_sums(self):
         b = BasisMatrix([[F(1), F(-2)], [F(3), F(4)]])
-        assert op_norm(b, "inf_one") == 6
+        assert op_norm(b) == 6
 
     def test_two_rowmax_345(self):
         b = BasisMatrix([[F(3), F(4)], [F(1), F(0)]])
         assert op_norm_two_sq(b) == 25
-        assert op_norm(b, "two_rowmax") == 5
 
 
-class TestLambda1DualBounds:
-    def test_identity(self):
-        lo, hi = lambda1_dual_bounds(BasisMatrix.identity(2))
-        assert (lo, hi) == (F(1), F(1))
-        assert lo <= 1 <= hi  # true 1/lambda_1* = 1
-
-    def test_ordered_random(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            b = rand_basis(rng, 3)
-            lo, hi = lambda1_dual_bounds(b)
-            assert lo <= hi
-
-    def test_upper_on_non_symmetric_example(self):
-        # 1/lambda_1(L*) = 6.82 here; the former (inf,1)-norm upper gave 6.33
-        b = BasisMatrix([[F(6), F(-5)], [F(-1, 4), F(-4, 3)]])
-        _, hi = lambda1_dual_bounds(b)
-        assert hi**2 * shortest_vector_sq(dual_basis(b)) >= 1
-
-    def test_lower_on_skewed_example(self):
-        # L = L* = Z^2, so 1/lambda_1(L*) = 1; the former 2^(-3m) times
-        # (inf,1)-norm lower gave 1001/64
-        b = BasisMatrix([[F(1), F(0)], [F(1000), F(1)]])
-        lo, _ = lambda1_dual_bounds(b)
-        assert lo**2 * shortest_vector_sq(dual_basis(b)) <= 1
-        assert lo == 1
-
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda m: st.lists(
-                st.lists(
-                    st.fractions(min_value=-8, max_value=8, max_denominator=6),
-                    min_size=m,
-                    max_size=m,
-                ),
-                min_size=m,
-                max_size=m,
-            )
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_bounds_sound(self, rows):
-        """lower <= 1/lambda_1(L*) <= upper, i.e. lower^2 lambda_1(L*)^2 <= 1
-        <= upper^2 lambda_1(L*)^2, exactly, on random non-integral
-        non-symmetric bases."""
-        m = len(rows)
-        assume(any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)))
-        try:
-            b = BasisMatrix(rows)
-        except RankError:
-            assume(False)
-        lo, hi = lambda1_dual_bounds(b)
-        lam_sq = shortest_vector_sq(dual_basis(b))
-        assert lo**2 * lam_sq <= 1 <= hi**2 * lam_sq
+def reference_gram_schmidt(rows) -> tuple:
+    """(orthogonal, mu): the exact Fraction Gram-Schmidt of the rows, with
+    b_i = b_i* + sum_{j<i} mu[i][j] b_j*; the reference gram_data and the
+    Gram data LLL returns are checked against."""
+    ortho, mus = [], []
+    for row in rows:
+        v = [F(x) for x in row]
+        mu_row = []
+        for prev in ortho:
+            c = dot(row, prev) / norm_sq(prev)
+            mu_row.append(c)
+            v = [x - c * y for x, y in zip(v, prev)]
+        ortho.append(tuple(v))
+        mus.append(tuple(mu_row))
+    return tuple(ortho), tuple(mus)
 
 
 class TestGramSchmidt:
@@ -345,28 +301,50 @@ class TestGramSchmidt:
         rng = random.Random(9)
         for _ in range(15):
             b = rand_basis(rng, 4)
-            gs = gram_schmidt(b)
+            ortho, mu = reference_gram_schmidt(b.rows)
             m = b.m
             for i in range(m):
                 for j in range(i):
-                    assert dot(gs.orthogonal[i], gs.orthogonal[j]) == 0
+                    assert dot(ortho[i], ortho[j]) == 0
             for i in range(m):
-                rec = list(gs.orthogonal[i])
+                rec = list(ortho[i])
                 for j in range(i):
-                    rec = [
-                        r + gs.mu[i][j] * o
-                        for r, o in zip(rec, gs.orthogonal[j])
-                    ]
+                    rec = [r + mu[i][j] * o for r, o in zip(rec, ortho[j])]
                 assert tuple(rec) == tuple(b.rows[i])
 
     def test_norm_product_is_det_sq(self):
         rng = random.Random(13)
         b = rand_basis(rng, 3)
-        gs = gram_schmidt(b)
-        prod = F(1)
-        for n in gs.norms_sq():
-            prod *= n
-        assert prod == b.det() ** 2
+        ortho, _ = reference_gram_schmidt(b.rows)
+        assert math.prod(norm_sq(v) for v in ortho) == b.det() ** 2
+
+    def test_gram_data_matches_reference(self):
+        """d[i+1] / d[i] = ||b_i*||^2 and lam[k][j] / d[j+1] = mu_kj exactly,
+        on non-symmetric integer rows of dims 1-6 and up to 40 bits."""
+        rng = random.Random(17)
+        checked = 0
+        for case in range(40):
+            dim, bits = 1 + case % 6, (3, 40)[case % 2]
+            rows = [
+                [rng.randint(-(2**bits), 2**bits) for _ in range(dim)] for _ in range(dim)
+            ]
+            try:
+                BasisMatrix(rows)
+            except RankError:
+                continue
+            d, lam = gram_data(rows)
+            ortho, mu = reference_gram_schmidt(rows)
+            assert d[0] == 1
+            assert [F(d[i + 1], d[i]) for i in range(dim)] == [norm_sq(v) for v in ortho]
+            assert [[F(lam[k][j], d[j + 1]) for j in range(k)] for k in range(dim)] == [
+                list(r) for r in mu
+            ]
+            checked += 1
+        assert checked >= 30
+
+    def test_gram_data_dependent_rows(self):
+        with pytest.raises(RankError):
+            gram_data([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 
 
 class TestSublatticeIndex:
@@ -396,3 +374,10 @@ class TestErrorHierarchy:
         assert len(found) == 8, sorted(found)
         del found["UnitlatError"]
         assert all(issubclass(cls, (ValueError, RuntimeError)) for cls in found.values())
+
+
+def test_every_exported_name_resolves():
+    """unitlat.__all__ names only what the package really exports."""
+    missing = [name for name in unitlat.__all__ if not hasattr(unitlat, name)]
+    assert not missing, missing
+    assert len(set(unitlat.__all__)) == len(unitlat.__all__)

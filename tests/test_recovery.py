@@ -7,6 +7,7 @@ import pytest
 from test_bdd_sampler import reference_sample_dual
 from unitlat import recovery
 from unitlat.bdd_sampler import SamplerConfig, gpv_sigma, sample_dual, verify_sampler_contract
+from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import BasisMatrix, ConfigurationError
 from unitlat.recovery import (
     ContractViolationError,
@@ -126,6 +127,13 @@ class TestCyclotomicRecovery:
         samples = sample_dual(p.hidden_dual, p.sampler, 100, 128)
         report = verify_sampler_contract(samples, p.hidden_dual, p.sampler)
         assert report["concentration_mass"] == 1.0 and report["coverage_ok"]
+
+    @pytest.mark.parametrize("m", [23, 25, 33])
+    def test_babai_bound_is_an_upper_bound(self, m):
+        """Above the enumeration limit (ranks 9 and 10 here) the bound the
+        Babai hypothesis is checked with still lies above lambda_1(L*)."""
+        p = build_cyclotomic_problem(m, 128, seed=1)
+        assert p.lambda1_dual_bound**2 >= shortest_vector_sq(p.hidden_dual)
 
     def test_m7_rank_and_basis(self):
         b = cyclotomic_log_basis(7, 128)
