@@ -91,7 +91,8 @@ def _emit(args, text: str):
 def _reject_unread(args, why: str, *dests: str):
     """Usage error if any of these flags was given: the chosen mode ignores it."""
     for dest in dests:
-        if getattr(args, dest) not in (None, False):
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # so --seed 0 counts as given
             raise CLIUsageError(f"--{dest.replace('_', '-')} {why}")
 
 
@@ -122,20 +123,30 @@ def cmd_recover(args) -> int:
         _reject_unread(args, "requires --synthetic", "dim", "index")
     if args.config:
         _reject_unread(args, "is not read with --config (its mode key decides)", "baseline")
-    _fill_defaults(args, dim=2, index=1, precision_bits=64)
-
-    if args.config:
         cfg = _load_json_object(args.config)
         mode = cfg.get("mode", "sublattice")
+        if mode not in ("sublattice", "baseline"):
+            raise ConfigurationError(
+                f"{args.config}: mode must be 'sublattice' or 'baseline', not {mode!r}"
+            )
         inst = cfg["instance"]
-        seed = int(cfg.get("seed", args.seed))
+        if not isinstance(inst, dict):
+            raise ConfigurationError(f"{args.config}: instance must be a JSON object")
+        if "conductor" not in inst:
+            _reject_unread(args, "is not read with a planted config instance", "precision_bits")
+        if "seed" in cfg:
+            _reject_unread(args, "is not read with a config that sets seed", "seed")
+            args.seed = int(cfg["seed"])
+    _fill_defaults(args, dim=2, index=1, precision_bits=64, seed=0)
+
+    if args.config:
         if "conductor" in inst:
             problem = build_cyclotomic_problem(
-                int(inst["conductor"]), args.precision_bits, seed
+                int(inst["conductor"]), args.precision_bits, args.seed
             )
         else:
             problem = make_planted_problem(
-                int(inst["dim"]), int(inst.get("index", 1)), seed
+                int(inst["dim"]), int(inst.get("index", 1)), args.seed
             )
         baseline = mode == "baseline"
         conductor = inst.get("conductor")
@@ -316,9 +327,10 @@ def build_parser() -> _Parser:
         help="recover a hidden lattice from simulated dual samples "
         "(sublattice-assisted rounding or the high-precision baseline)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default 0; not with a config that sets seed")
     p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None,
-                   help="default 64; not with --synthetic")
+                   help="default 64; not with --synthetic or a planted config")
     p.add_argument("--out", default=None)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--config", default=None, help="experiment config JSON")

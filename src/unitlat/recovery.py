@@ -32,6 +32,7 @@ from .lattice_core import (
     UnitlatError,
     op_norm,
     op_norm_two_sq,
+    sqrt_lower,
     sqrt_upper,
 )
 from .reduction import hnf, hnf_rational, snf
@@ -54,8 +55,10 @@ class RecoveryProblem:
     hidden_dual: basis of L* the simulator secretly samples from.
     index_bound: promised upper bound on [L : M].
     det_l_bound: upper bound on det L (sample-count formula).
-    lambda1_dual_bound: upper bound on lambda_1(L*); consumed by the Babai
-    hypothesis check delta * lambda_1(L*) < 1 / (2 ||B_M||_2).
+    lambda1_sq_dual: (lo, hi) with lo <= lambda_1(L*)^2 <= hi. The Babai
+    hypothesis check delta * lambda_1(L*) < 1 / (2 ||B_M||_2) reads hi; the
+    baseline's mu and precision_gap_report, which need lambda_1 from below,
+    read lo.
     dual_det_bound: upper bound on det L* (baseline pipeline only).
     tau_log2: target output precision of the baseline, in bits.
     """
@@ -65,7 +68,7 @@ class RecoveryProblem:
     sampler: SamplerConfig
     index_bound: int
     det_l_bound: Fraction
-    lambda1_dual_bound: Fraction
+    lambda1_sq_dual: tuple
     dual_det_bound: Optional[Fraction] = None
     tau_log2: int = 20
     precision_bits: int = 64
@@ -74,7 +77,8 @@ class RecoveryProblem:
         if self.b_m.m != self.hidden_dual.m:
             raise ConfigurationError("sublattice and dual dimension mismatch")
         bm_two = sqrt_upper(op_norm_two_sq(self.b_m))
-        if Fraction(self.sampler.delta) * Fraction(self.lambda1_dual_bound) * 2 * bm_two >= 1:
+        lam_up = sqrt_upper(self.lambda1_sq_dual[1])
+        if Fraction(self.sampler.delta) * lam_up * 2 * bm_two >= 1:
             raise ConfigurationError(
                 "noise radius too large for Babai rounding against M*: need "
                 "delta * lambda_1(L*) < 1 / (2 ||B_M||_2)"
@@ -129,8 +133,9 @@ def recover_with_sublattice(
     """Recover L exactly from k noisy dual samples and the known sublattice M.
 
     Every sample is rounded to the nearest point of M*, giving exact integer
-    coordinate rows; their HNF is a basis W of L* in the M*-frame, the SNF of W
-    yields the index, and B_L = (W^t)^-1 B_M.
+    coordinate rows; their HNF is a basis W of L* in the M*-frame, the index
+    [L : M] = det W is the product of its diagonal, the SNF of W gives the
+    invariant factors, and B_L = (W^t)^-1 B_M.
     """
     m = problem.b_m.m
     samples = _draw(problem, k, samples)
@@ -143,18 +148,16 @@ def recover_with_sublattice(
             failed += 1
         coord_rows.append(list(babai_bdd(s.y_tilde, problem.b_m)))
 
-    h, _ = hnf(coord_rows)
+    h = hnf(coord_rows)
     if len(h) < m:
         raise InsufficientSamplesError(
             f"coordinate rows span rank {len(h)} < {m}; retry with a fresh seed"
         )
-    w = BasisMatrix([[Fraction(x) for x in row] for row in h])
-    s_diag, _, _ = snf(h)
-    factors = tuple(s_diag[i][i] for i in range(m))
-    index = 1
-    for f in factors:
-        index *= f
-    assert index == abs(int(w.det()))
+    # H is m x m upper triangular with positive pivots: det W is their product
+    index = math.prod(h[i][i] for i in range(m))
+    w = BasisMatrix._with_det([[Fraction(x) for x in row] for row in h], Fraction(index))
+    factors = tuple(snf(h))
+    assert math.prod(factors) == index
     if index > problem.index_bound:
         raise ContractViolationError(
             f"recovered index {index} exceeds the bound {problem.index_bound}"
@@ -201,19 +204,18 @@ def recover_baseline(
     No rounding against M* — the reconstruction must separate lattice from
     noise on its own, which is what drives the precision requirement q. When
     the configured mantissa width cannot meet q the result is an infeasibility
-    report carrying the required q.
+    report carrying the required q, and no sample is drawn.
     """
     if problem.dual_det_bound is None:
         raise ConfigurationError("baseline needs an upper bound on det L*")
     m = problem.b_m.m
-    samples = _draw(problem, k, samples)
-    k = len(samples)
-
-    params = BPParams(mu=problem.lambda1_dual_bound, D=problem.dual_det_bound)
+    k = len(samples) if samples is not None else _sample_count(problem, k)
+    params = BPParams(mu=sqrt_lower(problem.lambda1_sq_dual[0]), D=problem.dual_det_bound)
     derived = params.derive(m, k)
     if problem.precision_bits < derived.q:
         return BaselineResult(False, derived.q, None, None, None, k)
 
+    samples = _draw(problem, k, samples)
     gens = [s.y_tilde for s in samples]
     # the working scale: at least the derived q, pushed up to the target
     # output precision; the sampler noise has to sit below 2^-q for the
@@ -244,7 +246,7 @@ def precision_gap_report(problem: RecoveryProblem, k: int = None) -> dict:
     """
     m = problem.b_m.m
     k = _sample_count(problem, k)
-    lam = float(problem.lambda1_dual_bound)
+    lam = float(sqrt_lower(problem.lambda1_sq_dual[0]))
     det_l = float(problem.det_l_bound)
     b_dual_inf = float(op_norm(problem.hidden_dual))
     q_baseline = math.ceil(
@@ -322,8 +324,8 @@ def build_cyclotomic_problem(
     b_m = cyclotomic_log_basis(m, precision_bits)
     b_dual = b_m.dual()
     # the Babai hypothesis needs an upper bound on lambda_1(L*)
-    _, lam_sq_hi = lambda1_sq_bracket(b_dual)
-    lam_up = sqrt_upper(lam_sq_hi)
+    lam_sq = lambda1_sq_bracket(b_dual)
+    lam_up = sqrt_upper(lam_sq[1])
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     if delta is None:
         # half of what the Babai hypothesis allows
@@ -341,7 +343,7 @@ def build_cyclotomic_problem(
         sampler=cfg,
         index_bound=1,
         det_l_bound=det_l,
-        lambda1_dual_bound=lam_up,
+        lambda1_sq_dual=lam_sq,
         dual_det_bound=abs(b_dual.det()) * 2,
         precision_bits=precision_bits,
     )
@@ -382,7 +384,7 @@ def make_planted_problem(
         sampler=cfg,
         index_bound=index,
         det_l_bound=Fraction(1),
-        lambda1_dual_bound=Fraction(1),
+        lambda1_sq_dual=(Fraction(1), Fraction(1)),
         dual_det_bound=Fraction(2),
         precision_bits=64,
     )

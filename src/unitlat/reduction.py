@@ -9,15 +9,16 @@ Z[i] and Z[zeta_3] it keeps exact Fraction Gram-Schmidt (size reduction by
 ring-integer rounding of the coefficients, Lovasz condition on algebraic
 norms). Both loops size-reduce row k against rows k-1, ..., 0 before the
 Lovasz test and step back to max(k-1, 1) after a swap, so over Z they make
-the same decisions and return the same rows and transform. hnf/snf are exact
-integer normal forms carrying their unimodular transforms.
+the same decisions and return the same rows and transform. hnf and snf are
+exact integer normal forms that keep no transform: hnf returns the Hermite
+form H, snf only the invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, gram_data, integer_rows
 from .rings import (
@@ -333,18 +334,16 @@ def check_reduced_bound(basis, delta, ring: RingDescriptor = INTEGERS) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def hnf(a: Sequence[Sequence[int]]) -> Tuple[list, list]:
-    """Row-style Hermite normal form with transform.
+def hnf(a: Sequence[Sequence[int]]) -> list:
+    """Row-style Hermite normal form: the nonzero rows of the canonical
+    upper-triangular HNF of the lattice the rows of A generate.
 
-    Returns (H, U) where H is the canonical upper-triangular HNF restricted to
-    its nonzero rows and U is a full unimodular matrix with U @ A equal to H
-    padded with zero rows. Pivots are positive and entries above each pivot are
-    reduced into [0, pivot).
+    Pivots are positive and entries above each pivot are reduced into
+    [0, pivot).
     """
     rows = [list(map(int, r)) for r in a]
     n = len(rows)
     ncols = len(rows[0]) if n else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
     r = 0
     for c in range(ncols):
         if r == n:
@@ -357,13 +356,11 @@ def hnf(a: Sequence[Sequence[int]]) -> Tuple[list, list]:
             piv = min(nz, key=lambda i: (abs(rows[i][c]), i))
             if piv != r:
                 rows[r], rows[piv] = rows[piv], rows[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, n):
                 if rows[i][c] != 0:
                     q = rows[i][c] // rows[r][c]
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if rows[i][c] != 0:
                         done = False
             if done:
@@ -371,14 +368,12 @@ def hnf(a: Sequence[Sequence[int]]) -> Tuple[list, list]:
         if rows[r][c] != 0:
             if rows[r][c] < 0:
                 rows[r] = [-x for x in rows[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = rows[i][c] // rows[r][c]
                 if q:
                     rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
-    return [rows[i] for i in range(r)], u
+    return rows[:r]
 
 
 def hnf_rational(rows: Sequence[Sequence[Fraction]]) -> tuple:
@@ -392,40 +387,29 @@ def hnf_rational(rows: Sequence[Sequence[Fraction]]) -> tuple:
     if not rows:
         return ()
     den, ints = integer_rows(rows)
-    h, _ = hnf(ints)
+    h = hnf(ints)
     return tuple(tuple(Fraction(x, den) for x in row) for row in h)
 
 
-def snf(a: Sequence[Sequence[int]]) -> Tuple[list, list, list]:
-    """Smith normal form with transforms: U @ A @ V = S, d1 | d2 | ...
+def snf(a: Sequence[Sequence[int]]) -> list:
+    """Invariant factors d1 | d2 | ... of an integer matrix, rectangular-safe.
 
-    U and V are unimodular; S is diagonal (rectangular-safe) with nonnegative
-    invariant factors satisfying the divisibility chain.
+    The min(rows, cols) diagonal entries of its Smith normal form, all
+    nonnegative; as many trailing ones as the rank falls short are 0.
     """
     s = [list(map(int, r)) for r in a]
     n = len(s)
     m = len(s[0]) if n else 0
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in s:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
 
     def addmul_col(dst, src, q):
         for row in s:
-            row[dst] -= q * row[src]
-        for row in v:
             row[dst] -= q * row[src]
 
     t = 0
@@ -439,7 +423,7 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[list, list, list]:
                         piv = (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        s[t], s[piv[0]] = s[piv[0]], s[t]
         swap_cols(t, piv[1])
         while True:
             # clear row and column t
@@ -453,7 +437,7 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[list, list, list]:
             nzc = [j for j in range(t + 1, m) if s[t][j] != 0]
             if nz:
                 i = min(nz, key=lambda i: abs(s[i][t]))
-                swap_rows(t, i)
+                s[t], s[i] = s[i], s[t]
                 continue
             if nzc:
                 j = min(nzc, key=lambda j: abs(s[t][j]))
@@ -471,8 +455,5 @@ def snf(a: Sequence[Sequence[int]]) -> Tuple[list, list, list]:
             if bad is None:
                 break
             addmul_row(t, bad[0], -1)  # add offending row into row t, re-eliminate
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return s, u, v
+    return [abs(s[i][i]) for i in range(min(n, m))]

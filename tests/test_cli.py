@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -84,7 +85,25 @@ class TestRecoverCommand:
         path.write_text(json.dumps(cfg))
         code, out, _ = run_cli(["recover", "--config", str(path), "--k", "24"], capsys)
         assert code == 0
-        assert json.loads(out)["index"] == 1
+        obj = json.loads(out)
+        assert obj["index"] == 1
+        # the provenance records the seed the run used, the config's
+        assert obj["provenance"]["seed"] == 5
+
+    def test_config_without_seed_reads_the_flag(self, capsys, tmp_path):
+        """A config with no seed key runs --seed, as --synthetic does."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"instance": {"dim": 3, "index": 2}}))
+        _, via_config, _ = run_cli(
+            ["recover", "--config", str(path), "--k", "24", "--seed", "4"], capsys
+        )
+        _, direct, _ = run_cli(
+            ["recover", "--synthetic", "--dim", "3", "--index", "2", "--k", "24", "--seed", "4"],
+            capsys,
+        )
+        a, b = json.loads(via_config), json.loads(direct)
+        assert a.pop("provenance")["seed"] == b.pop("provenance")["seed"] == 4
+        assert a == b
 
 
 class TestEstimateCommand:
@@ -211,6 +230,10 @@ class TestExitCodes:
         "id2.json": {"m": 2, "rows": [["1", "0"], ["0", "1"]]},
         # lambda_1 = 10^400, beyond the float range
         "huge.json": {"m": 2, "rows": [["1e400", "0"], ["0", "1e400"]]},
+        "mode-typo.json": {"mode": "baselin", "instance": {"dim": 2}},
+        "seeded.json": {"seed": 3, "instance": {"dim": 2}},
+        "planted.json": {"instance": {"dim": 2}},
+        "instance-array.json": {"instance": [3]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -248,6 +271,17 @@ class TestExitCodes:
         ("recover-negative-precision",
          ["recover", "--cyclotomic", "5", "--precision-bits", "-1"], 1,
          "error: fixed-point exponent must be >= 0"),
+        ("config-unknown-mode", ["recover", "--config", "mode-typo.json"], 1,
+         "error: mode-typo.json: mode must be 'sublattice' or 'baseline', not 'baselin'"),
+        ("config-seed-and-flag", ["recover", "--config", "seeded.json", "--seed", "5"], 1,
+         "usage error: --seed is not read with a config that sets seed"),
+        ("config-seed-and-flag-zero", ["recover", "--config", "seeded.json", "--seed", "0"], 1,
+         "usage error: --seed is not read with a config that sets seed"),
+        ("config-instance-array", ["recover", "--config", "instance-array.json"], 1,
+         "error: instance-array.json: instance must be a JSON object"),
+        ("planted-config-precision",
+         ["recover", "--config", "planted.json", "--precision-bits", "999"], 1,
+         "usage error: --precision-bits is not read with a planted config instance"),
     ]
 
     @pytest.mark.parametrize("name,argv,code,prefix", CASES, ids=[c[0] for c in CASES])
@@ -347,6 +381,14 @@ class TestRejectedFlags:
         )
         assert json.loads(out)["provenance"]["config_hash"] == "1d13a4919db400ad"
 
+    def test_config_hash_keeps_the_seed_default(self, capsys):
+        """--seed parses to None and is filled in as 0: an invocation without
+        it hashes as before (value computed when --seed defaulted to 0)."""
+        _, out, _ = run_cli(["recover", "--synthetic", "--dim", "2", "--k", "24"], capsys)
+        provenance = json.loads(out)["provenance"]
+        assert provenance["config_hash"] == "8e4b9680bdc74e06"
+        assert provenance["seed"] == 0
+
 
 class TestReplayDeterminism:
     CASES = [
@@ -360,6 +402,14 @@ class TestReplayDeterminism:
         _, out1, _ = run_cli(case, capsys)
         _, out2, _ = run_cli(case, capsys)
         assert out1 == out2
+
+    def test_synthetic_dim32_pinned(self, capsys):
+        """Rank 32 runs the HNF and SNF on 32 x 32 coordinate data; the
+        digest was taken while both still carried unimodular transforms."""
+        code, out, _ = run_cli(["recover", "--synthetic", "--dim", "32", "--seed", "1"], capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "28f9d876c31aba64b7c9faf2dd85c8e01bc0b33a88cc7023a1705ff1a6be63ef"
 
     def test_sample_replay_out_files(self, tmp_path, capsys):
         path = tmp_path / "dual.json"

@@ -8,7 +8,7 @@ from test_bdd_sampler import reference_sample_dual
 from unitlat import recovery
 from unitlat.bdd_sampler import SamplerConfig, gpv_sigma, sample_dual, verify_sampler_contract
 from unitlat.enumeration import shortest_vector_sq
-from unitlat.lattice_core import BasisMatrix, ConfigurationError
+from unitlat.lattice_core import BasisMatrix, ConfigurationError, sqrt_upper
 from unitlat.recovery import (
     ContractViolationError,
     InsufficientSamplesError,
@@ -122,18 +122,21 @@ class TestCyclotomicRecovery:
         it at m=21), and the concentration radius covers the 3 sigma ball."""
         p = build_cyclotomic_problem(21, 128, seed=1)
         assert p.sampler.sigma == gpv_sigma(p.hidden_dual)
-        assert p.sampler.sigma > 2 * p.lambda1_dual_bound
+        assert p.sampler.sigma > 2 * sqrt_upper(p.lambda1_sq_dual[1])
         assert p.sampler.r >= 3 * p.sampler.sigma
         samples = sample_dual(p.hidden_dual, p.sampler, 100, 128)
         report = verify_sampler_contract(samples, p.hidden_dual, p.sampler)
         assert report["concentration_mass"] == 1.0 and report["coverage_ok"]
 
     @pytest.mark.parametrize("m", [23, 25, 33])
-    def test_babai_bound_is_an_upper_bound(self, m):
-        """Above the enumeration limit (ranks 9 and 10 here) the bound the
-        Babai hypothesis is checked with still lies above lambda_1(L*)."""
+    def test_lambda1_bracket_ends(self, m):
+        """Above the enumeration limit (ranks 9 and 10 here) the bracket is
+        strict, and lambda_1(L*)^2 lies inside it: the Babai hypothesis reads
+        the upper end, the baseline's mu the lower."""
         p = build_cyclotomic_problem(m, 128, seed=1)
-        assert p.lambda1_dual_bound**2 >= shortest_vector_sq(p.hidden_dual)
+        lo, hi = p.lambda1_sq_dual
+        assert lo <= shortest_vector_sq(p.hidden_dual) <= hi
+        assert lo < hi
 
     def test_m7_rank_and_basis(self):
         b = cyclotomic_log_basis(7, 128)
@@ -155,7 +158,7 @@ class TestBaseline:
             sampler=cfg,
             index_bound=1,
             det_l_bound=F(1, 5),
-            lambda1_dual_bound=F(4),
+            lambda1_sq_dual=(F(16), F(25)),
             dual_det_bound=F(8),
             precision_bits=512,
         )
@@ -176,7 +179,7 @@ class TestBaseline:
             sampler=cfg,
             index_bound=1,
             det_l_bound=F(1, 5),
-            lambda1_dual_bound=F(4),
+            lambda1_sq_dual=(F(16), F(25)),
             dual_det_bound=F(8),
             precision_bits=3,
         )
@@ -184,6 +187,22 @@ class TestBaseline:
         assert not res.feasible
         assert res.required_q > 3
         assert res.b_l_approx is None
+
+    def test_mu_reads_the_lower_lambda1_end(self, monkeypatch):
+        """At m = 23 the bracket is strict: mu = sqrt(lo) gives q = 92 where
+        the upper end would give 88. Below q the report comes back before any
+        sample is drawn."""
+        p = build_cyclotomic_problem(23, 128, seed=1)
+        p = dataclasses.replace(p, precision_bits=91)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the infeasible path drew samples")
+
+        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        res = recover_baseline(p)
+        assert not res.feasible
+        assert res.required_q == 92
+        assert res.samples_used == recovery._sample_count(p, None)
 
     def test_baseline_needs_dual_det_bound(self):
         p = make_planted_problem(2, 1, seed=0)
@@ -231,7 +250,7 @@ class TestPrecisionGap:
             sampler=cfg,
             index_bound=1,
             det_l_bound=F(1),
-            lambda1_dual_bound=F(1),
+            lambda1_sq_dual=(F(1), F(1)),
             dual_det_bound=F(2),
         )
         rep = precision_gap_report(p, k=4)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from test_lattice_core import reference_gram_schmidt
 from unitlat.lattice_core import BasisMatrix, ConfigurationError, RankError, norm_sq
-from unitlat.recovery import cyclotomic_log_basis
+from unitlat.bdd_sampler import babai_bdd, sample_dual
+from unitlat.recovery import cyclotomic_log_basis, make_planted_problem
 from unitlat.reduction import (
     DEFAULT_DELTA,
     OKMatrix,
@@ -239,10 +241,163 @@ def _sympy_hnf_rows(a):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# Reference normal forms: the same eliminations as hnf/snf, also applied to
+# the unimodular transforms, so U A = H and U A V = S can be checked.
+# ---------------------------------------------------------------------------
+
+
+def reference_hnf(a):
+    """(H, U): H as hnf returns it, U unimodular with U A = H padded with
+    zero rows."""
+    rows = [list(map(int, r)) for r in a]
+    n = len(rows)
+    ncols = len(rows[0]) if n else 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    for c in range(ncols):
+        if r == n:
+            break
+        while True:
+            nz = [i for i in range(r, n) if rows[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: (abs(rows[i][c]), i))
+            if piv != r:
+                rows[r], rows[piv] = rows[piv], rows[r]
+                u[r], u[piv] = u[piv], u[r]
+            done = True
+            for i in range(r + 1, n):
+                if rows[i][c] != 0:
+                    q = rows[i][c] // rows[r][c]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if rows[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if rows[r][c] != 0:
+            if rows[r][c] < 0:
+                rows[r] = [-x for x in rows[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = rows[i][c] // rows[r][c]
+                if q:
+                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            r += 1
+    return [rows[i] for i in range(r)], u
+
+
+def reference_snf(a):
+    """(S, U, V): U and V unimodular, U A V = S diagonal (rectangular-safe)
+    with nonnegative entries d1 | d2 | ..."""
+    s = [list(map(int, r)) for r in a]
+    n = len(s)
+    m = len(s[0]) if n else 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, q):
+        s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
+        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, q):
+        for row in s:
+            row[dst] -= q * row[src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    t = 0
+    while t < min(n, m):
+        piv = None
+        for i in range(t, n):
+            for j in range(t, m):
+                if s[i][j] != 0:
+                    if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            for i in range(t + 1, n):
+                if s[i][t] != 0:
+                    addmul_row(i, t, s[i][t] // s[t][t])
+            for j in range(t + 1, m):
+                if s[t][j] != 0:
+                    addmul_col(j, t, s[t][j] // s[t][t])
+            nz = [i for i in range(t + 1, n) if s[i][t] != 0]
+            nzc = [j for j in range(t + 1, m) if s[t][j] != 0]
+            if nz:
+                i = min(nz, key=lambda i: abs(s[i][t]))
+                swap_rows(t, i)
+                continue
+            if nzc:
+                j = min(nzc, key=lambda j: abs(s[t][j]))
+                swap_cols(t, j)
+                continue
+            bad = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if s[i][j] % s[t][t] != 0:
+                        bad = (i, j)
+                        break
+                if bad:
+                    break
+            if bad is None:
+                break
+            addmul_row(t, bad[0], -1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return s, u, v
+
+
+def check_reference_hnf(a):
+    """hnf(a) equals the reference H, and the reference's U A = H holds."""
+    h, u = reference_hnf(a)
+    assert hnf(a) == h
+    k, n = len(a), len(a[0])
+    prod = [[sum(u[i][j] * a[j][c] for j in range(k)) for c in range(n)] for i in range(k)]
+    assert prod[: len(h)] == h
+    assert all(all(x == 0 for x in row) for row in prod[len(h):])
+    assert sympy.Matrix(u).det() in (1, -1)
+    return h
+
+
+def check_reference_snf(a):
+    """snf(a) equals the reference's diagonal, and U A V = S holds."""
+    s, u, v = reference_snf(a)
+    assert snf(a) == [s[i][i] for i in range(min(len(a), len(a[0])))]
+    assert sympy.Matrix(u) * sympy.Matrix(a) * sympy.Matrix(v) == sympy.Matrix(s)
+    assert sympy.Matrix(u).det() in (1, -1)
+    assert sympy.Matrix(v).det() in (1, -1)
+    return s
+
+
+def planted_coordinate_rows(dim, index, seed):
+    """The 12 dim x dim integer rows recover_with_sublattice reduces on a
+    planted instance: each dual sample Babai-rounded against M*."""
+    p = make_planted_problem(dim, index, seed=seed)
+    samples = sample_dual(p.hidden_dual, p.sampler, 12 * dim, p.precision_bits)
+    return [list(babai_bdd(s.y_tilde, p.b_m)) for s in samples]
+
+
 class TestHNF:
     def test_examples(self):
-        h, u = hnf([[2, 0], [0, 3]])
-        assert h == [[2, 0], [0, 3]]
+        assert hnf([[2, 0], [0, 3]]) == [[2, 0], [0, 3]]
 
     def test_transform_and_canonical(self):
         rng = random.Random(6)
@@ -250,16 +405,7 @@ class TestHNF:
             n = rng.randint(2, 4)
             k = rng.randint(n, n + 3)
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
-            h, u = hnf(a)
-            # U @ A = H padded with zeros
-            prod = [
-                [sum(u[i][j] * a[j][c] for j in range(k)) for c in range(n)]
-                for i in range(k)
-            ]
-            assert prod[: len(h)] == h
-            assert all(all(x == 0 for x in row) for row in prod[len(h):])
-            det_u = sympy.Matrix(u).det()
-            assert det_u in (1, -1)
+            h = check_reference_hnf(a)
             # pivots positive, entries above pivots reduced
             for r, row in enumerate(h):
                 piv_col = next(c for c, x in enumerate(row) if x != 0)
@@ -267,6 +413,27 @@ class TestHNF:
                 assert piv > 0
                 for rr in range(r):
                     assert 0 <= h[rr][piv_col] < piv
+
+    def test_rank_deficient_and_zero_columns(self):
+        """Repeated rows, zero rows and zero columns: the pivot walk skips
+        columns and stops short of the row count."""
+        rng = random.Random(16)
+        for _ in range(25):
+            n = rng.randint(2, 5)
+            base = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            a = base + [list(rng.choice(base)) for _ in range(2)] + [[0] * n]
+            for c in rng.sample(range(n), rng.randint(0, n - 1)):
+                for row in a:
+                    row[c] = 0
+            rng.shuffle(a)
+            h = check_reference_hnf(a)
+            assert len(h) == sympy.Matrix(a).rank()
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_planted_coordinate_rows(self, dim):
+        for seed in range(3):
+            a = planted_coordinate_rows(dim, 1 + seed * dim, seed)
+            check_reference_hnf(a)
 
     def test_against_sympy_full_rank(self):
         rng = random.Random(7)
@@ -276,7 +443,7 @@ class TestHNF:
                 a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 if sympy.Matrix(a).det() != 0:
                     break
-            h, _ = hnf(a)
+            h = hnf(a)
             # sympy uses a lower-triangular convention; compare the lattices:
             # each basis must be an integer unimodular combination of the other
             ours = sympy.Matrix(h)
@@ -292,26 +459,46 @@ class TestSNF:
         for _ in range(25):
             n = rng.randint(2, 4)
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            s, u, v = snf(a)
-            prod = sympy.Matrix(u) * sympy.Matrix(a) * sympy.Matrix(v)
-            assert prod == sympy.Matrix(s)
-            assert sympy.Matrix(u).det() in (1, -1)
-            assert sympy.Matrix(v).det() in (1, -1)
-            diag = [s[i][i] for i in range(n)]
+            check_reference_snf(a)
+            diag = snf(a)
             for x, y in zip(diag, diag[1:]):
                 if y != 0:
                     assert x != 0 and y % x == 0
+
+    def test_rank_deficient_and_rectangular(self):
+        """Zero rows, repeated rows, zero columns and more columns than rows:
+        the factors past the rank are 0."""
+        rng = random.Random(18)
+        for _ in range(25):
+            k, n = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+            a += [list(rng.choice(a)), [0] * n]
+            for c in rng.sample(range(n), rng.randint(0, n - 1)):
+                for row in a:
+                    row[c] = 0
+            rng.shuffle(a)
+            check_reference_snf(a)
+            factors = snf(a)
+            rank = sympy.Matrix(a).rank()
+            assert all(f > 0 for f in factors[:rank]) and not any(factors[rank:])
+
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_planted_index(self, dim):
+        """On the pipeline's HNF of planted coordinate rows, the factors
+        multiply to the product of H's diagonal, the index."""
+        for seed in range(3):
+            h = hnf(planted_coordinate_rows(dim, 1 + seed * dim, seed))
+            assert len(h) == dim
+            check_reference_snf(h)
+            assert math.prod(snf(h)) == math.prod(h[i][i] for i in range(len(h)))
 
     def test_against_sympy(self):
         rng = random.Random(9)
         for _ in range(10):
             n = rng.randint(2, 4)
             a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            s, _, _ = snf(a)
-            ours = [abs(s[i][i]) for i in range(n)]
             ref = smith_normal_form(sympy.Matrix(a))
-            theirs = [abs(int(ref[i, i])) for i in range(n)]
-            assert ours == theirs
+            assert snf(a) == [abs(int(ref[i, i])) for i in range(n)]
 
 
 class TestHNFRational:

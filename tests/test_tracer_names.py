@@ -35,3 +35,31 @@ def test_patched_name_exists(mod, attr):
 
 def test_tables_not_empty():
     assert len(TRACER.SPANS) >= 10 and TRACER.COUNTS
+
+
+def test_tracer_records_the_patched_layers(monkeypatch):
+    """Installed in-process, the tracer wraps one planted_sweep operation and
+    a cyclotomic log basis: the normal-form and bp_reduce spans are recorded
+    and the bp_reduce observer reads its result, so a changed name or
+    return shape fails here rather than in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
+    import workloads
+
+    from unitlat.recovery import cyclotomic_log_basis
+
+    inp = workloads.planted_inputs(1)[0]
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        result = tracer.root(0, workloads.planted_op, inp.data)
+        tracer.root(1, cyclotomic_log_basis, 5)
+    finally:
+        tracer.uninstall()
+    assert workloads.planted_check(inp.data, result)[0]
+    names = {span[0] for span in tracer.spans}
+    assert {"reduction.hnf", "reduction.snf", "buchmann_pohst.bp_reduce"} <= names
+    assert {
+        "buchmann_pohst.separation_margin_bits",
+        "buchmann_pohst.relation_margin_bits",
+        "buchmann_pohst.coeff_bits_max",
+    } <= set(tracer.gauges)
