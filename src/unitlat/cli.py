@@ -167,6 +167,7 @@ def cmd_recover(args) -> int:
             "mode": "baseline",
             "feasible": res.feasible,
             "required_q": res.required_q,
+            "input_bits": res.input_bits,
             "samples_used": res.samples_used,
         }
         if res.feasible:

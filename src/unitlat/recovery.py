@@ -23,7 +23,7 @@ from .bdd_sampler import (
     lambda1_sq_bracket,
     sample_dual,
 )
-from .buchmann_pohst import BPParams, bp_reduce
+from .buchmann_pohst import BPParams, bp_reduce, ceil_log2
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
@@ -194,6 +194,7 @@ class BaselineResult:
     b_l_star_fixed: Optional[list]  # FixedPointVector rows for L*
     precision_achieved: Optional[int]
     samples_used: int
+    input_bits: int  # bits of the samples above noise and quantisation
 
 
 def recover_baseline(
@@ -202,9 +203,12 @@ def recover_baseline(
     """Approximate L from raw samples: reconstruct a basis of L*, invert it.
 
     No rounding against M* — the reconstruction must separate lattice from
-    noise on its own, which is what drives the precision requirement q. When
-    the configured mantissa width cannot meet q the result is an infeasibility
-    report carrying the required q, and no sample is drawn.
+    noise on its own, which is what drives the precision requirement q. A
+    sample is off its lattice point by the sampler noise, of norm below
+    delta * lambda_1(L*), plus the 2^-precision_bits quantisation, so it
+    carries floor(-log2(delta * sqrt(hi) + 2^-precision_bits)) bits, hi the
+    upper end of lambda1_sq_dual. When those bits cannot meet q the result is
+    an infeasibility report carrying the required q, and no sample is drawn.
     """
     if problem.dual_det_bound is None:
         raise ConfigurationError("baseline needs an upper bound on det L*")
@@ -212,16 +216,20 @@ def recover_baseline(
     k = len(samples) if samples is not None else _sample_count(problem, k)
     params = BPParams(mu=sqrt_lower(problem.lambda1_sq_dual[0]), D=problem.dual_det_bound)
     derived = params.derive(m, k)
-    if problem.precision_bits < derived.q:
-        return BaselineResult(False, derived.q, None, None, None, k)
+    noise = problem.sampler.delta * sqrt_upper(problem.lambda1_sq_dual[1])
+    input_bits = -ceil_log2(noise + Fraction(1, 2**problem.precision_bits))
+    if input_bits < derived.q:
+        return BaselineResult(False, derived.q, None, None, None, k, input_bits)
 
     samples = _draw(problem, k, samples)
     gens = [s.y_tilde for s in samples]
     # the working scale: at least the derived q, pushed up to the target
-    # output precision; the sampler noise has to sit below 2^-q for the
-    # relation/basis separation to hold
+    # output precision
     result = bp_reduce(
-        gens, params, q_bits=max(derived.q, problem.tau_log2)
+        gens,
+        params,
+        input_precision_bits=input_bits,
+        q_bits=max(derived.q, problem.tau_log2),
     )
     b_l_star = BasisMatrix(
         [[Fraction(e.a) for e in row] for row in result.basis_approx]
@@ -234,6 +242,7 @@ def recover_baseline(
         result.basis_fixed_point(),
         result.q,
         k,
+        input_bits,
     )
 
 

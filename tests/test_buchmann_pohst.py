@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitlat.buchmann_pohst import (
     BPParams,
@@ -11,8 +14,8 @@ from unitlat.buchmann_pohst import (
     relation_norm_check,
 )
 from unitlat.lattice_core import BasisMatrix, FixedPointVector, PrecisionError, RankError
-from unitlat.reduction import hnf_rational
-from unitlat.rings import GAUSSIAN, RingElement
+from unitlat.reduction import DEFAULT_DELTA, hnf_rational
+from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement
 
 F = Fraction
 
@@ -35,6 +38,46 @@ class TestDerivedBounds:
             x = F(rng.randint(1, 10**9), rng.randint(1, 10**9))
             q = ceil_log2(x)
             assert F(2) ** q >= x > F(2) ** (q - 1)
+
+    @given(
+        st.one_of(
+            st.builds(F, st.integers(1, 2**2000), st.integers(1, 2**2000)),
+            st.integers(-3000, 3000).map(lambda e: F(2) ** e),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ceil_log2_oracle(self, x):
+        """Exact powers of two and x < 1 included: 2^(q-1) < x <= 2^q."""
+        q = ceil_log2(x)
+        assert F(2) ** (q - 1) < x <= F(2) ** q
+
+    @given(
+        st.integers(1, 8),
+        st.integers(0, 12),
+        st.fractions(min_value=F(1, 1000), max_value=1000, max_denominator=10**6),
+        st.fractions(min_value=F(1, 1000), max_value=10**12, max_denominator=10**6),
+        st.sampled_from([INTEGERS, GAUSSIAN, EISENSTEIN]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_derive_covers_the_exact_formula(self, m, extra, mu, d, ring):
+        """q and m_tilde are at least the formula they round outward,
+        evaluated with 300 digits (less a relative 10^-290 for the evaluation's
+        own rounding: the bound may be exact, as m_tilde = 150/49 is at m = 1)."""
+        k = m + extra
+        got = BPParams(mu=mu, D=d, ring=ring).derive(m, k)
+
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        with mpmath.workdps(300):
+            c_k = 1 / (mp(DEFAULT_DELTA) - mp(ring.euclidean_minimum))
+            b = c_k**m * mp(d) ** (mpmath.mpf(1) / m)
+            c = (b / mp(mu)) ** m * mpmath.sqrt(mp(hermite_constant_upper(m)))
+            m_tilde = (k * mpmath.sqrt(m) / 2 + mpmath.sqrt(k)) * c
+            value = (mpmath.sqrt(m * k) + 2) * m_tilde * mpmath.sqrt(mpmath.mpf(2) ** (k - 1)) / mp(mu)
+            slack = 1 - mpmath.mpf(10) ** -290
+            assert mp(got.m_tilde) >= m_tilde * slack
+            assert got.q >= max(int(mpmath.ceil(mpmath.log(value * slack, 2))), 1)
 
     def test_hermite_upper(self):
         assert hermite_constant_upper(1) == 1

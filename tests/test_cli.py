@@ -106,6 +106,41 @@ class TestRecoverCommand:
         assert a == b
 
 
+class TestBaselineNoise:
+    """The baseline counts only the sample bits above the sampler noise: where
+    those fall below the derived q it reports infeasible and exits 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--synthetic", "--dim", "2", "--index", "2"], ["--synthetic", "--dim", "3", "--k", "12"]],
+        ids=["dim2", "dim3"],
+    )
+    def test_noisy_baseline_is_infeasible(self, argv, capsys):
+        code, out, _ = run_cli(["recover", *argv, "--baseline"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["feasible"] is False
+        assert obj["input_bits"] < obj["required_q"]
+        assert "basis" not in obj
+
+    def test_m5_no_longer_claims_a_basis(self, capsys):
+        """Before the sampler noise was counted this printed the basis
+        [["1048576/121"]] (about 8666) for a regulator of
+        log((1 + sqrt 5)/2) = 0.4812."""
+        _, out, _ = run_cli(
+            ["recover", "--cyclotomic", "5", "--precision-bits", "128", "--baseline"], capsys
+        )
+        obj = json.loads(out)
+        assert (obj["feasible"], obj["input_bits"], obj["required_q"]) == (False, 0, 5)
+
+    def test_planted_config_baseline(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": "baseline", "instance": {"dim": 2, "index": 2}}))
+        code, out, _ = run_cli(["recover", "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["feasible"] is False
+
+
 class TestEstimateCommand:
     def test_compare_table(self, capsys):
         code, out, _ = run_cli(
@@ -441,11 +476,26 @@ class TestEntryPoint:
         assert proc.stdout.strip()
 
     def test_import_loads_no_numerics_library(self):
-        """mpmath is imported only where certified logs are evaluated, and
-        numpy not at all."""
+        """Importing the CLI loads neither mpmath (only alt_period_check
+        imports it, lazily) nor numpy."""
         code = "import sys, unitlat.cli; print(sorted({'mpmath', 'numpy'} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cyclotomic_recover_loads_no_mpmath(self):
+        """The certified log table is integer arithmetic: a whole cyclotomic
+        recovery runs without importing mpmath."""
+        code = (
+            "import sys, unitlat.cli\n"
+            "rc = unitlat.cli.main(['recover', '--cyclotomic', '13', '--precision-bits', '128',"
+            " '--seed', '1'])\n"
+            "print(rc, 'mpmath' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "0 False"

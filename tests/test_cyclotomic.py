@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from unitlat import cyclotomic
 from unitlat.buchmann_pohst import BPParams, bp_reduce, relation_norm_check
 from unitlat.cyclotomic import (
     CyclotomicField,
@@ -123,13 +125,71 @@ class TestLogEmbedding:
 
     @pytest.mark.parametrize("m", [12, 25, 101])
     def test_one_table_per_conductor(self, m, monkeypatch):
-        """Every generator of a conductor is read from m - 1 interval log-sines."""
+        """Every generator of a conductor is read from one table per working
+        precision: one integer log-sine per r <= m/2, as T[r] = T[m - r]."""
         calls = []
-        log = mpmath.iv.log
-        monkeypatch.setattr(mpmath.iv, "log", lambda x: calls.append(x) or log(x))
+        real = cyclotomic._log_sine
+        monkeypatch.setattr(cyclotomic, "_log_sine", lambda *a: calls.append(a[0]) or real(*a))
         gens = cyclotomic_unit_generators(CyclotomicField(m), 64)
-        assert len(calls) == m - 1
+        assert sorted(calls) == list(range(1, m // 2 + 1))
         assert len(gens) > 1
+        calls.clear()
+        log_embedding([{1: 2**40}], CyclotomicField(m), 64)  # rebuilt once at 192 bits
+        assert len(calls) == 2 * (m // 2)
+
+
+ADMISSIBLE = [m for m in range(3, 102) if m % 4 != 2]
+
+
+def mp_bound(x: Fraction):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+class TestLogSineTable:
+    """The integer table and its pi against mpmath at twice their precision."""
+
+    @pytest.mark.parametrize("work", [96, 160, 288])
+    def test_entries_within_the_proven_bound(self, work):
+        """Every centre is within 1/2 + 8 m P 2^-GUARD_BITS ulps of T[r] 2^work
+        (P = work + GUARD_BITS), the rounded-up radius is at most that bound's
+        ceiling, and the interval contains T[r]."""
+        prec = work + cyclotomic.GUARD_BITS
+        with mpmath.workprec(2 * work):
+            scale = mpmath.mpf(2) ** work
+            for m in ADMISSIBLE:
+                centres, rad = cyclotomic._log_sine_table(m, work)
+                bound = Fraction(1, 2) + Fraction(8 * m * prec, 2**cyclotomic.GUARD_BITS)
+                assert rad <= math.ceil(bound)
+                for r in range(1, m):
+                    exact = mpmath.log(2 * mpmath.sin(mpmath.pi * r / m)) * scale
+                    err = abs(exact - centres[r])
+                    assert err <= mp_bound(bound), (m, r)
+                    assert err <= rad, (m, r)
+
+    def test_pi_rounds_to_nearest(self):
+        """Within 1/2 + 2^-16 ulps at every precision the tables use here and
+        at a spread of others."""
+        bound = mp_bound(Fraction(1, 2) + Fraction(1, 2**16))
+        for prec in [*range(8, 400, 7), 128, 192, 320, 4128]:
+            with mpmath.workprec(2 * prec):
+                err = abs(mpmath.pi * mpmath.mpf(2) ** prec - cyclotomic._pi(prec))
+                assert err <= bound, prec
+
+
+class TestReplay:
+    # sha256 over "m bits j quotient_index mantissas..." lines, computed with
+    # the earlier mpmath-interval table; the integer table reproduces it
+    DIGEST = "0b4d8298f57026e323e83472607ce7dbe589455fba536b4024361a1d5d7b51e1"
+
+    def test_generator_mantissas_pinned(self):
+        h = hashlib.sha256()
+        for m in (m for m in ADMISSIBLE if m <= 60):
+            field = CyclotomicField(m)
+            for bits in (64, 128):
+                for g in cyclotomic_unit_generators(field, bits):
+                    mants = " ".join(map(str, g.log.mantissas))
+                    h.update(f"{m} {bits} {g.j} {g.quotient_index} {mants}\n".encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 def projected_logs(m, bits=96):

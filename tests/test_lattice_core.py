@@ -76,6 +76,20 @@ class TestRoots:
         assert up * up <= x * (1 + F(1, 2**62))
 
     @given(
+        st.builds(F, st.integers(0, 2**2000), st.integers(1, 2**2000)),
+        st.sampled_from([1, 8, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sqrt_relative_error_both_sides(self, x, bits):
+        """lo <= sqrt(x) <= up, each within a factor 1 -+ 2^-bits of sqrt(x);
+        squared, that is an exact rational comparison."""
+        up, lo = sqrt_upper(x, bits), sqrt_lower(x, bits)
+        eps = F(1, 2**bits)
+        assert 0 <= lo and lo * lo <= x <= up * up
+        assert up * up <= x * (1 + eps) ** 2
+        assert lo * lo >= x * (1 - eps) ** 2
+
+    @given(
         st.fractions(min_value=F(1, 1000), max_value=10**6),
         st.integers(min_value=1, max_value=8),
     )

@@ -204,6 +204,39 @@ class TestBaseline:
         assert res.required_q == 92
         assert res.samples_used == recovery._sample_count(p, None)
 
+    @pytest.mark.parametrize("m", [5, 7, 11, 16])
+    def test_sampler_noise_makes_cyclotomic_baseline_infeasible(self, m, monkeypatch):
+        """delta * lambda_1(L*) is near 1/4 here, so the samples carry at most
+        2 bits whatever the mantissa width: no draw, an infeasibility report."""
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the infeasible path drew samples")
+
+        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        res = recover_baseline(build_cyclotomic_problem(m, 128, seed=0))
+        assert not res.feasible and res.b_l_approx is None
+        assert res.input_bits < res.required_q
+
+    def test_input_bits_are_those_above_the_noise(self):
+        """floor(-log2(delta sqrt(hi) + 2^-p)): 2^-40 + 2^-256 gives 39 bits,
+        delta = 0 leaves all p."""
+        p = make_planted_problem(2, 2, seed=11)
+        quiet = dataclasses.replace(p.sampler, delta=F(1, 2**40))
+        res = recover_baseline(dataclasses.replace(p, precision_bits=256, sampler=quiet), k=16)
+        assert res.input_bits == 39
+        exact = dataclasses.replace(p.sampler, delta=0)
+        res = recover_baseline(dataclasses.replace(p, sampler=exact), k=16)
+        assert res.input_bits == p.precision_bits == 64
+
+    def test_noiseless_planted_baseline_recovers_exactly(self):
+        """delta = 0: the samples are exact points of L* = Z^3, and the
+        inverted basis generates L = Z^3 with no rounding."""
+        p = make_planted_problem(3, 2, seed=5)
+        p = dataclasses.replace(p, sampler=dataclasses.replace(p.sampler, delta=0))
+        res = recover_baseline(p, k=16)
+        assert res.feasible
+        assert lattices_equal(BasisMatrix(res.b_l_approx), BasisMatrix.identity(3))
+
     def test_baseline_needs_dual_det_bound(self):
         p = make_planted_problem(2, 1, seed=0)
         p = dataclasses.replace(p, dual_det_bound=None)
