@@ -36,10 +36,12 @@ from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
+    _check_exponent,
     dot,
     norm_sq,
     op_norm_two_sq,
     round_half_away,
+    round_ratio,
     sqrt_lower,
     sqrt_upper,
 )
@@ -258,7 +260,9 @@ def sample_dual(
 ) -> List[SampleRecord]:
     """Draw `count` simulated sampler outputs near the lattice of b_l_star:
     points of the 3 sigma ball from the nearest-plane sampler over the
-    LLL-reduced basis, each moved by noise of norm below delta * lambda_1."""
+    LLL-reduced basis, each moved by noise of norm below delta * lambda_1.
+    The exact point plus the float noise, taken as the rational it is, is
+    rounded once: with delta = 0 each coordinate is within 2^-(precision_bits + 1)."""
     m = b_l_star.m
     kb = klein_basis(b_l_star)
     # per level t_i = ||b~_i||^2 / sigma^2 exactly; a level whose half-width
@@ -289,6 +293,7 @@ def sample_dual(
         # check is immune to float rounding at the boundary
         noise_radius = 0.999 * float(lam_lo) * float(cfg.delta)
 
+    scale = 1 << _check_exponent(precision_bits)
     rng = random.Random(cfg.seed)
     out = []
     for _ in range(count):
@@ -296,19 +301,18 @@ def sample_dual(
         coords = tuple(sum(x * u for x, u in zip(y, col)) for col in zip(*kb.transform))
         failed = rng.random() < float(cfg.eta)
         if failed:
-            value = [rng.uniform(-box, box) for _ in range(m)]
+            exact, noise = [0] * m, [rng.uniform(-box, box) for _ in range(m)]
         else:
-            # int / int is the correctly rounded float of the exact coordinate
-            value = [x / kb.den for x in point]
+            exact, noise = point, [0.0] * m
             if noise_radius > 0:
                 gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
                 gn = math.sqrt(sum(g * g for g in gauss)) or 1.0
                 rad = noise_radius * rng.random() ** (1.0 / m)
-                value = [v + rad * g / gn for v, g in zip(value, gauss)]
-        y_fp = FixedPointVector.from_rationals(
-            [Fraction(v) for v in value], precision_bits
-        )
-        out.append(SampleRecord(y_fp, coords, failed))
+                noise = [rad * g / gn for g in gauss]
+        # x / den plus the float noise n / d taken as exact, rounded once
+        mants = [round_ratio((x * d + n * kb.den) * scale, kb.den * d)
+                 for x, (n, d) in zip(exact, map(float.as_integer_ratio, noise))]
+        out.append(SampleRecord(FixedPointVector(tuple(mants), precision_bits), coords, failed))
     return out
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lattice_core import (
+    ConfigurationError,
     FixedPointVector,
     PrecisionError,
     RankError,
@@ -100,15 +101,6 @@ class BPResult:
     def threshold_sq(self) -> Fraction:
         return Fraction(2) ** (self.k - 1) * self.m_tilde**2
 
-    def basis_fixed_point(self) -> list:
-        """Basis rows as FixedPointVector (real ring only)."""
-        if self.ring.kind != INTEGERS.kind:
-            raise ValueError("fixed-point export only for real lattices")
-        return [
-            FixedPointVector(tuple(int(e.a * 2**self.q) for e in row), self.q)
-            for row in self.basis_approx
-        ]
-
 
 def _round_scaled(x: RingElement, q: int) -> RingElement:
     scaled = RingElement(x.a * 2**q, x.b * 2**q, x.kind)
@@ -124,7 +116,9 @@ def bp_reduce(
     """Recover an exact basis of the lattice generated by noisy generators.
 
     gens: k vectors of dimension m; FixedPointVector rows for lattices over Z,
-    rows of RingElement for O_K-module instances. input_precision_bits defaults
+    rows of RingElement for O_K-module instances. Their ring must be
+    params.ring, which sets the bounds' c_K (ConfigurationError otherwise); the
+    LLL reads it off the rows. input_precision_bits defaults
     to the fixed-point exponent and must be at least the derived q. q_bits asks
     for a working scale larger than the derived minimum (keeps more of the
     input precision in the output basis).
@@ -134,17 +128,15 @@ def bp_reduce(
     if k == 0:
         raise ValueError("no generators")
     if isinstance(gens[0], FixedPointVector):
-        if ring.kind != INTEGERS.kind:
-            raise ValueError("fixed-point generators imply the integer ring")
         if input_precision_bits is None:
             input_precision_bits = min(g.exponent for g in gens)
-        rows_val = [
-            [RingElement(x, 0, ring.kind) for x in g.to_rationals()] for g in gens
-        ]
+        rows_val = [[RingElement(x) for x in g.to_rationals()] for g in gens]
     else:
-        rows_val = [[e for e in g] for g in gens]
+        rows_val = [list(g) for g in gens]
         if input_precision_bits is None:
             raise ValueError("ring-element generators need input_precision_bits")
+    if {e.kind for g in rows_val for e in g} != {ring.kind}:
+        raise ConfigurationError(f"generators do not match params.ring {ring.kind!r}")
     m = len(rows_val[0])
     if k < m:
         raise RankError(f"need at least m={m} generators, got {k}")
@@ -164,7 +156,7 @@ def bp_reduce(
         bottom = [one if i == j else zero for i in range(k)]
         rows.append(top + bottom)
 
-    reduced, _ = lll_reduce_rows(rows, params.delta, ring)
+    reduced, _ = lll_reduce_rows(rows, params.delta)
 
     tops = [row[:m] for row in reduced]
     bottoms = [row[m:] for row in reduced]

@@ -42,7 +42,6 @@ from .recovery import (
     regulator_from_basis,
 )
 from .reduction import OKMatrix, is_reduced, lll_reduce
-from .rings import INTEGERS, ring_by_kind
 
 
 class CLIUsageError(ConfigurationError):
@@ -253,24 +252,20 @@ def _load_json_object(path: str) -> dict:
     return obj
 
 
-def _load_matrix(path: str, ring_kind: str):
-    obj = _load_json_object(path)
-    if ring_kind == INTEGERS.kind:
-        return BasisMatrix.from_json(obj)
-    return OKMatrix.from_json(obj)
-
-
 def cmd_reduce(args) -> int:
-    ring = ring_by_kind(args.ring)
-    mat = _load_matrix(args.infile, ring.kind)
+    obj = _load_json_object(args.infile)
+    try:  # an OKMatrix if the file names a ring, else a BasisMatrix over Z
+        mat = OKMatrix.from_json(obj) if "ring" in obj else BasisMatrix.from_json(obj)
+    except (TypeError, ZeroDivisionError) as exc:  # wrong JSON types, a zero denominator
+        raise ConfigurationError(f"{args.infile}: malformed matrix entries ({exc})") from None
     delta = Fraction(args.delta)
-    reduced, transform = lll_reduce(mat, delta, ring)
+    reduced, transform = lll_reduce(mat, delta)
     out = {
         "reduced": reduced.to_json(),
         "transform": transform.to_json(),
     }
     if args.verify:
-        out["verified"] = is_reduced(reduced, delta, ring)
+        out["verified"] = is_reduced(reduced, delta)
     _emit(args, _dump(args, out))
     return 0
 
@@ -295,6 +290,9 @@ def cmd_bp(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not args.verify:
+        _reject_unread(args, "requires --verify (only the contract check reads it)", "r")
+    _fill_defaults(args, r="4")
     dual = BasisMatrix.from_json(_load_json_object(args.dual))
     cfg = SamplerConfig(
         delta=Fraction(args.delta),
@@ -356,12 +354,11 @@ def build_parser() -> _Parser:
                    help="default 20; with --cyclotomic only if --compare")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("reduce", help="exact LLL reduction over Z, Z[i] or Z[w]")
+    p = sub.add_parser("reduce", help="exact LLL reduction over the file's ring: Z, Z[i] or Z[w]")
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--delta", default="99/100")
-    p.add_argument("--ring", choices=["integers", "gaussian", "eisenstein"], default="integers")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser(
@@ -381,7 +378,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", default="0")
     p.add_argument("--eta", default="0")
     p.add_argument("--sigma", default="1")
-    p.add_argument("--r", default="4")
+    p.add_argument("--r", default=None, help="default 4; --verify only")
     p.add_argument("--count", type=_positive_int, default=100)
     p.set_defaults(func=cmd_sample)
 

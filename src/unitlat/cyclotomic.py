@@ -109,6 +109,15 @@ def generator_shape(field: CyclotomicField, j: int) -> Tuple[int, bool]:
     return i, d == p**a
 
 
+def generator_exponents(field: CyclotomicField, j: int, quotient_index: int) -> Dict[int, int]:
+    """The exponents {t: e_t} of v_j = prod_t (1 - zeta^t)^e_t: {j: 1} for the
+    plain form, {j: 1, m_i: -1} for the quotient form, {} when j = m_i."""
+    if quotient_index < 0:
+        return {j: 1}
+    mi = field.cofactors[quotient_index]
+    return {} if j == mi else {j: 1, mi: -1}
+
+
 # Bits carried below the table's working precision; they absorb the series'
 # truncation errors so that every entry rounds to within one ulp.
 GUARD_BITS = 32
@@ -279,18 +288,9 @@ def cyclotomic_unit_generators(
     are dropped: they do not lie in the unit group, so their logs would leave
     the Dirichlet hyperplane.
     """
-    shapes, products = [], []
-    for j in range(1, field.m):
-        qi, unit = generator_shape(field, j)
-        if not unit:
-            continue
-        exps = {j: 1}
-        if qi >= 0:
-            mi = field.cofactors[qi]
-            exps = {} if j == mi else {j: 1, mi: -1}
-        shapes.append((j, qi))
-        products.append(exps)
-    logs = log_embedding(products, field, precision_bits)
+    shapes = [(j, *generator_shape(field, j)) for j in range(1, field.m)]
+    shapes = [(j, qi) for j, qi, unit in shapes if unit]
+    logs = log_embedding([generator_exponents(field, *s) for s in shapes], field, precision_bits)
     return [UnitGenerator(j, qi, log) for (j, qi), log in zip(shapes, logs)]
 
 

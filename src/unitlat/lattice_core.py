@@ -115,7 +115,11 @@ def nth_root_upper(x: Fraction, n: int, bits: int = ROOT_BITS) -> Fraction:
 def round_half_away(x: Fraction) -> int:
     """Nearest integer, ties rounded away from zero (fixed for reproducibility)."""
     x = _to_frac(x)
-    n, d = x.numerator, x.denominator
+    return round_ratio(x.numerator, x.denominator)
+
+
+def round_ratio(n: int, d: int) -> int:
+    """round_half_away(n / d) for integers n and d > 0, with no Fraction formed."""
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((-2 * n + d) // (2 * d))

@@ -24,12 +24,19 @@ from .bdd_sampler import (
     sample_dual,
 )
 from .buchmann_pohst import BPParams, bp_reduce, ceil_log2
+from .cyclotomic import (
+    CyclotomicField,
+    cyclotomic_unit_generators,
+    generator_exponents,
+    log_embedding,
+)
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
     PrecisionError,
     UnitlatError,
+    norm_sq,
     op_norm,
     op_norm_two_sq,
     sqrt_lower,
@@ -60,7 +67,6 @@ class RecoveryProblem:
     baseline's mu and precision_gap_report, which need lambda_1 from below,
     read lo.
     dual_det_bound: upper bound on det L* (baseline pipeline only).
-    tau_log2: target output precision of the baseline, in bits.
     """
 
     b_m: BasisMatrix
@@ -70,7 +76,6 @@ class RecoveryProblem:
     det_l_bound: Fraction
     lambda1_sq_dual: tuple
     dual_det_bound: Optional[Fraction] = None
-    tau_log2: int = 20
     precision_bits: int = 64
 
     def __post_init__(self):
@@ -191,10 +196,12 @@ class BaselineResult:
     feasible: bool
     required_q: int
     b_l_approx: Optional[tuple]  # rows of the approximate basis of L
-    b_l_star_fixed: Optional[list]  # FixedPointVector rows for L*
     precision_achieved: Optional[int]
     samples_used: int
     input_bits: int  # bits of the samples above noise and quantisation
+
+
+TAU_LOG2 = 20  # target output precision of the baseline, in bits
 
 
 def recover_baseline(
@@ -219,7 +226,7 @@ def recover_baseline(
     noise = problem.sampler.delta * sqrt_upper(problem.lambda1_sq_dual[1])
     input_bits = -ceil_log2(noise + Fraction(1, 2**problem.precision_bits))
     if input_bits < derived.q:
-        return BaselineResult(False, derived.q, None, None, None, k, input_bits)
+        return BaselineResult(False, derived.q, None, None, k, input_bits)
 
     samples = _draw(problem, k, samples)
     gens = [s.y_tilde for s in samples]
@@ -229,7 +236,7 @@ def recover_baseline(
         gens,
         params,
         input_precision_bits=input_bits,
-        q_bits=max(derived.q, problem.tau_log2),
+        q_bits=max(derived.q, TAU_LOG2),
     )
     b_l_star = BasisMatrix(
         [[Fraction(e.a) for e in row] for row in result.basis_approx]
@@ -239,7 +246,6 @@ def recover_baseline(
         True,
         derived.q,
         tuple(tuple(row) for row in b_l.rows),
-        result.basis_fixed_point(),
         result.q,
         k,
         input_bits,
@@ -294,31 +300,33 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     so dropping the last coordinate is injective; the resulting fixed-point
     generators are fed to the exact basis reconstruction. Scale-specific
     bounds: unit-lattice minima are bounded below by a constant and the
-    covolume by the generator norms.
+    covolume by the generator norms. Of its result only the exact integer
+    coordinates are read: each basis row is the log of the unit
+    prod_t (1 - zeta^t)^e_t they give, certified by log_embedding to
+    2^-precision_bits however large the coordinates are.
     """
-    from .cyclotomic import CyclotomicField, cyclotomic_unit_generators
-
     field = CyclotomicField(m)
     rank = field.unit_rank
     if rank == 0:
         raise ConfigurationError(f"conductor {m} has unit rank 0")
     gens = cyclotomic_unit_generators(field, precision_bits)
-    rows = []
-    for g in gens:
-        mants = g.log.mantissas[:rank]
-        if any(mants):
-            rows.append(FixedPointVector(mants, precision_bits))
-    if len(rows) < rank:
+    gens = [g for g in gens if any(g.log.mantissas[:rank])]
+    if len(gens) < rank:
         # every log rounded to 0: a fresh seed cannot help, more bits can
         raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
-    det_bound = Fraction(1)
-    for r in rows[:rank]:
-        det_bound *= sqrt_upper(
-            sum(Fraction(x) ** 2 for x in r.to_rationals()) + 1
-        )
+    rows = [FixedPointVector(g.log.mantissas[:rank], precision_bits) for g in gens]
+    det_bound = math.prod(sqrt_upper(norm_sq(r.to_rationals()) + 1) for r in rows[:rank])
     params = BPParams(mu=Fraction(1, 8), D=max(det_bound, 1))
     result = bp_reduce(rows, params, q_bits=precision_bits)
-    return BasisMatrix([[e.a for e in row] for row in result.basis_approx])
+    products = []
+    for coords in result.basis_coords:
+        exps = {}
+        for c, g in zip(coords, gens):
+            for t, e in generator_exponents(field, g.j, g.quotient_index).items():
+                exps[t] = exps.get(t, 0) + int(c.a) * e
+        products.append(exps)
+    logs = log_embedding(products, field, precision_bits)
+    return BasisMatrix([log.to_rationals()[:rank] for log in logs])
 
 
 def build_cyclotomic_problem(

@@ -9,7 +9,9 @@ Z[i] and Z[zeta_3] it keeps exact Fraction Gram-Schmidt (size reduction by
 ring-integer rounding of the coefficients, Lovasz condition on algebraic
 norms). Both loops size-reduce row k against rows k-1, ..., 0 before the
 Lovasz test and step back to max(k-1, 1) after a swap, so over Z they make
-the same decisions and return the same rows and transform. hnf and snf are
+the same decisions and return the same rows and transform. The ring is read
+off the input and never passed: a BasisMatrix is over Z, an OKMatrix over its
+.ring, ring-element rows over their entries' kind. hnf and snf are
 exact integer normal forms that keep no transform: hnf returns the Hermite
 form H, snf only the invariant factors.
 """
@@ -21,14 +23,7 @@ from fractions import Fraction
 from typing import List, Sequence
 
 from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, gram_data, integer_rows
-from .rings import (
-    INTEGERS,
-    RingDescriptor,
-    RingElement,
-    hdot,
-    hnorm_sq,
-    ring_by_kind,
-)
+from .rings import INTEGERS, RingDescriptor, RingElement, hdot, hnorm_sq, ring_by_kind
 
 DEFAULT_DELTA = Fraction(99, 100)  # matches the delta used for both Z and Z[i]
 
@@ -43,6 +38,8 @@ class OKMatrix:
     def __post_init__(self):
         rows = tuple(tuple(e for e in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError("matrix rows differ in length")
         for row in rows:
             for e in row:
                 if e.kind != self.ring.kind:
@@ -88,14 +85,18 @@ class OKMatrix:
         return cls(rows, ring)
 
 
-def _ring_rows(basis, ring: RingDescriptor) -> tuple:
-    """(rows, ring) of a BasisMatrix (entries wrapped in the given ring), an
-    OKMatrix (its own ring) or a sequence of ring-element rows."""
+def _ring_rows(basis) -> tuple:
+    """(rows, ring) of a BasisMatrix (integer-ring elements), an OKMatrix (its
+    own ring) or a sequence of ring-element rows (their entries' common kind)."""
     if isinstance(basis, BasisMatrix):
-        return [[RingElement(x, 0, ring.kind) for x in row] for row in basis.rows], ring
+        return [[RingElement(x) for x in row] for row in basis.rows], INTEGERS
     if isinstance(basis, OKMatrix):
         return [list(r) for r in basis.rows], basis.ring
-    return [list(r) for r in basis], ring
+    rows = [list(r) for r in basis]
+    kinds = {e.kind for row in rows for e in row}
+    if len(kinds) != 1:
+        raise ConfigurationError(f"rows must share one ring kind, got {sorted(kinds)}")
+    return rows, ring_by_kind(kinds.pop())
 
 
 def _as_delta(delta) -> Fraction:
@@ -229,36 +230,18 @@ def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
     return [[Fraction(x, den) for x in row] for row in red], u
 
 
-def _lll_ring_rows(rows: list, delta: Fraction, ring: RingDescriptor):
-    """LLL on ring-element rows: the integer core over Z, _lll_rows otherwise."""
-    if ring.kind != INTEGERS.kind:
-        return _lll_rows(rows, delta, ring)
-    red, u = _lll_rational([[e.a for e in row] for row in rows], delta)
-    return (
-        [[RingElement(x, 0, ring.kind) for x in row] for row in red],
-        [[RingElement(x, 0, ring.kind) for x in row] for row in u],
-    )
-
-
-def lll_reduce(basis, delta=DEFAULT_DELTA, ring: RingDescriptor = INTEGERS):
-    """LLL-reduce a basis over the given ring.
-
-    Accepts a BasisMatrix (ring must be the integers) or an OKMatrix; returns
-    (reduced, transform) of the same flavour. transform @ input == reduced, and
-    the transform is unimodular over the ring (determinant a ring unit).
+def lll_reduce(basis, delta=DEFAULT_DELTA):
+    """LLL-reduce a BasisMatrix (over Z) or an OKMatrix (over its ring);
+    returns (reduced, transform) of the same flavour. transform @ input ==
+    reduced, and the transform is unimodular over the ring (determinant a
+    ring unit).
     """
-    delta = _as_delta(delta)
     if isinstance(basis, BasisMatrix):
-        if ring.kind != INTEGERS.kind:
-            raise ValueError("BasisMatrix input implies the integer ring")
-        red, u = _lll_rational(basis.rows, delta)
+        red, u = _lll_rational(basis.rows, _as_delta(delta))
         return BasisMatrix(red), BasisMatrix(u)
     if isinstance(basis, OKMatrix):
-        red, u = _lll_ring_rows([list(r) for r in basis.rows], delta, basis.ring)
-        return (
-            OKMatrix(tuple(tuple(r) for r in red), basis.ring),
-            OKMatrix(tuple(tuple(r) for r in u), basis.ring),
-        )
+        red, u = lll_reduce_rows(basis, delta)
+        return OKMatrix(tuple(red), basis.ring), OKMatrix(tuple(u), basis.ring)
     raise TypeError("basis must be a BasisMatrix or an OKMatrix")
 
 
@@ -272,20 +255,28 @@ def lll_reduce_gram(basis: BasisMatrix) -> tuple:
     return (den,) + tuple(_lll_int(ints, DEFAULT_DELTA))
 
 
-def lll_reduce_rows(rows: Sequence[Sequence[RingElement]], delta, ring: RingDescriptor):
-    """LLL on raw ring-element rows (not necessarily square); same contract."""
-    red, u = _lll_ring_rows([list(r) for r in rows], _as_delta(delta), ring)
-    return [tuple(r) for r in red], [tuple(r) for r in u]
+def lll_reduce_rows(rows, delta=DEFAULT_DELTA):
+    """LLL on raw ring-element rows (not necessarily square) or an OKMatrix's
+    rows, over their ring as _ring_rows reads it: the integer core over Z,
+    _lll_rows otherwise. Same contract as lll_reduce."""
+    rows, ring = _ring_rows(rows)
+    delta = _as_delta(delta)
+    if ring.kind != INTEGERS.kind:
+        red, u = _lll_rows(rows, delta, ring)
+        return [tuple(r) for r in red], [tuple(r) for r in u]
+    red, u = _lll_rational([[e.a for e in row] for row in rows], delta)
+    return [tuple(map(RingElement, r)) for r in red], [tuple(map(RingElement, r)) for r in u]
 
 
-def is_reduced(basis, delta, ring: RingDescriptor) -> bool:
-    """Exact check of the two reduction conditions (size reduction + Lovasz).
+def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
+    """Exact check of the two reduction conditions (size reduction + Lovasz)
+    over the input's ring.
 
     basis: a BasisMatrix, an OKMatrix or ring-element rows, as for
     check_reduced_bound.
     """
     delta = _as_delta(delta)
-    b, ring = _ring_rows(basis, ring)
+    b, ring = _ring_rows(basis)
     ortho, mu = [], []
     for i in range(len(b)):
         v, mu_row = _gs_row(b, ortho, i)
@@ -303,7 +294,7 @@ def is_reduced(basis, delta, ring: RingDescriptor) -> bool:
     return True
 
 
-def check_reduced_bound(basis, delta, ring: RingDescriptor = INTEGERS) -> bool:
+def check_reduced_bound(basis, delta=DEFAULT_DELTA) -> bool:
     """Norm bound ||b_j|| <= (1/(delta - m_K))^(j-1) (det L)^(1/m) for all j.
 
     Evaluated exactly by comparing 2m-th powers, with det L the product of the
@@ -312,7 +303,7 @@ def check_reduced_bound(basis, delta, ring: RingDescriptor = INTEGERS) -> bool:
     bound for j >= 2 (diag(1, 4) is reduced and fails it); is_reduced is.
     """
     delta = _as_delta(delta)
-    rows, ring = _ring_rows(basis, ring)
+    rows, ring = _ring_rows(basis)
     m = len(rows)
     ortho = []
     for i in range(m):

@@ -45,7 +45,7 @@ from unitlat.reduction import (
     is_reduced,
     lll_reduce,
 )
-from unitlat.rings import GAUSSIAN, INTEGERS, RingElement
+from unitlat.rings import GAUSSIAN, RingElement
 
 F = Fraction
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -201,8 +201,8 @@ def test_criterion_04_ok_lll_contract():
         wrapped = [
             [RingElement(x, 0, "integers") for x in row] for row in red.rows
         ]
-        assert is_reduced(wrapped, DEFAULT_DELTA, INTEGERS)
-        assert check_reduced_bound(red, DEFAULT_DELTA, INTEGERS)
+        assert is_reduced(wrapped, DEFAULT_DELTA)
+        assert check_reduced_bound(red, DEFAULT_DELTA)
         assert abs(u.det()) == 1
         checked_bound += 1
     checked_forget = 0
@@ -219,8 +219,8 @@ def test_criterion_04_ok_lll_contract():
             BasisMatrix([[F(x) for x in r] for r in mat.underlying_z_rows()])
         except RankError:
             continue
-        red, _ = lll_reduce(mat, DEFAULT_DELTA, GAUSSIAN)
-        assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA, GAUSSIAN)
+        red, _ = lll_reduce(mat, DEFAULT_DELTA)
+        assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA)
         before = hnf_rational([[F(x) for x in r] for r in mat.underlying_z_rows()])
         after = hnf_rational([[F(x) for x in r] for r in red.underlying_z_rows()])
         assert before == after

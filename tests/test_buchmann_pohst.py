@@ -13,7 +13,13 @@ from unitlat.buchmann_pohst import (
     hermite_constant_upper,
     relation_norm_check,
 )
-from unitlat.lattice_core import BasisMatrix, FixedPointVector, PrecisionError, RankError
+from unitlat.lattice_core import (
+    BasisMatrix,
+    ConfigurationError,
+    FixedPointVector,
+    PrecisionError,
+    RankError,
+)
 from unitlat.reduction import DEFAULT_DELTA, hnf_rational
 from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement
 
@@ -181,6 +187,17 @@ class TestGaussianBP:
         # the recovered generator is a unit multiple of 1+2i
         assert got.norm() == g1.norm()
         assert relation_norm_check(res)
+
+    def test_generators_off_the_params_ring_rejected(self):
+        """The LLL reads the ring off the generators and the bounds read
+        params.ring: bp_reduce refuses to let them differ."""
+        g = RingElement(F(1), F(2), "gaussian")
+        with pytest.raises(ConfigurationError, match="do not match params.ring"):
+            bp_reduce(
+                [[g], [g * g]], BPParams(mu=1, D=8, ring=EISENSTEIN), input_precision_bits=48
+            )
+        with pytest.raises(ConfigurationError, match="do not match params.ring"):
+            bp_reduce([fp([1], 40), fp([2], 40)], BPParams(mu=1, D=8, ring=GAUSSIAN))
 
 
 def _scale(e, q):

@@ -11,7 +11,7 @@ import unitlat
 from unitlat.cli import main
 from unitlat.lattice_core import BasisMatrix
 from unitlat.reduction import OKMatrix
-from unitlat.rings import GAUSSIAN, RingElement
+from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement
 
 F = Fraction
 
@@ -35,6 +35,12 @@ def shrink_index_bound(monkeypatch):
         return dataclasses.replace(orig(dim, index, seed, **kw), index_bound=1)
 
     monkeypatch.setattr(cli_mod, "make_planted_problem", shrunk)
+
+
+def ok_json(ring, entries):
+    """The JSON of the OKMatrix over ring with entries a + b omega."""
+    rows = tuple(tuple(RingElement(a, b, ring.kind) for a, b in row) for row in entries)
+    return OKMatrix(rows, ring).to_json()
 
 
 def child_env():
@@ -214,6 +220,19 @@ class TestReduceBPSample:
         contract = json.loads(lines[-1])["contract"]
         assert contract["coverage"] == 1.0
 
+    def test_sample_r_is_read_by_verify(self, capsys, tmp_path):
+        """--r sets the contract's concentration radius, default 4."""
+        path = tmp_path / "dual.json"
+        path.write_text(BasisMatrix.identity(2).dumps())
+        outs = []
+        for r in ([], ["--r", "4"], ["--r", "1"]):
+            argv = ["sample", "--dual", str(path), "--sigma", "2", "--count", "50", "--verify"]
+            code, out, _ = run_cli(argv + r, capsys)
+            assert code == 0
+            outs.append(json.loads(out.strip().splitlines()[-1])["contract"])
+        assert outs[0] == outs[1]
+        assert outs[2]["concentration_mass"] < outs[1]["concentration_mass"]
+
     def test_sample_beyond_float_range_delta_zero(self, capsys, tmp_path):
         """lambda_1 = 10^400 does not fit in a float; with no noise the draw
         never needs it to, and lands on the lattice points (a, 0) with
@@ -241,10 +260,37 @@ class TestReduceBPSample:
             GAUSSIAN,
         )
         path.write_text(json.dumps(gaussian.to_json()))
-        code, out, _ = run_cli(
-            ["reduce", "--in", str(path), "--ring", "gaussian", "--verify"], capsys
-        )
+        code, out, _ = run_cli(["reduce", "--in", str(path), "--verify"], capsys)
         assert code == 0 and json.loads(out)["verified"] is True
+
+    # sha256 of reduce --verify's output without provenance, taken when the
+    # ring was still a flag (--ring integers for the Z file, --ring gaussian
+    # for the others)
+    RING_FILES = [
+        ({"m": 3, "rows": [["201", "37", "5"], ["1648", "297", "-3"], ["7/2", "1", "9"]]},
+         "779f8f69e7ab00bb2e038c846d29cfce7cc998b5774ecc16bb565e6626a37156"),
+        (ok_json(GAUSSIAN, (((3, 1), (1, 0)), ((0, 2), (5, -1)))),
+         "b4b5e0642ca420e48facae463114d68f588ee85542ad84ca6085d864ccce10d5"),
+        (ok_json(EISENSTEIN, (((3, 1), (1, 0)), ((0, 2), (5, -1)))),
+         "203d7063313f474f1ec955db7f41861761bb6adb2bea2cda3e93513964ba5de9"),
+        (ok_json(INTEGERS, (((201, 0), (37, 0)), ((1648, 0), (297, 0)))),
+         "2a605100b630f6be8f88bb7023fa532b77f23e3364f67d9c480a3bdca9bbebcb"),
+    ]
+
+    @pytest.mark.parametrize(
+        "obj,digest", RING_FILES, ids=["Z", "Z[i]", "Z[zeta_3]", "integers OKMatrix"]
+    )
+    def test_reduce_reads_the_ring_from_the_file(self, obj, digest, capsys, tmp_path):
+        """A file with a ring key is an OKMatrix over that ring, one without
+        it a BasisMatrix over Z; the output is the one --ring used to give."""
+        path = tmp_path / "mat.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run_cli(["reduce", "--in", str(path), "--verify"], capsys)
+        assert code == 0
+        got = json.loads(out)
+        del got["provenance"]
+        assert got["verified"] is True
+        assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == digest
 
     def test_malformed_matrix_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -269,6 +315,10 @@ class TestExitCodes:
         "seeded.json": {"seed": 3, "instance": {"dim": 2}},
         "planted.json": {"instance": {"dim": 2}},
         "instance-array.json": {"instance": [3]},
+        "dict-entries.json": {"m": 2, "rows": [[{"a": "1"}, "0"], ["0", "1"]]},
+        "zero-denominator.json": {"ring": "gaussian", "rows": [[{"a": "1/0", "b": "0",
+                                                                 "ring": "gaussian"}]]},
+        "ring-int-entries.json": {"ring": "gaussian", "rows": [[1, 0], [0, 1]]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -291,6 +341,12 @@ class TestExitCodes:
          "error: nearest-plane draws left the 3 sigma ball"),
         ("array-reduce", ["reduce", "--in", "array.json"], 1,
          "error: array.json: top level must be a JSON object, not list"),
+        ("dict-entries-reduce", ["reduce", "--in", "dict-entries.json"], 1,
+         "error: dict-entries.json: malformed matrix entries"),
+        ("zero-denominator-reduce", ["reduce", "--in", "zero-denominator.json"], 1,
+         "error: zero-denominator.json: malformed matrix entries"),
+        ("ring-int-entries-reduce", ["reduce", "--in", "ring-int-entries.json"], 1,
+         "error: ring-int-entries.json: malformed matrix entries"),
         ("array-sample", ["sample", "--dual", "array.json"], 1,
          "error: array.json: top level must be a JSON object, not list"),
         ("array-bp", ["bp", "--in", "array.json"], 1,
@@ -345,6 +401,7 @@ class TestRejectedFlags:
         ("reduce", ["--seed", "1"]),
         ("reduce", ["--precision-bits", "64"]),
         ("reduce", ["--format", "csv"]),
+        ("reduce", ["--ring", "gaussian"]),
         ("bp", ["--seed", "1"]),
         ("bp", ["--precision-bits", "64"]),
         ("bp", ["--format", "csv"]),
@@ -386,6 +443,7 @@ class TestRejectedFlags:
         (["estimate", "--m", "2", "--logD", "3", "--compare"], "--compare"),
         (["estimate", "--kummer", "3", "5", "--compare"], "--compare"),
         (["estimate", "--cyclotomic", "101", "--tau-log2", "99"], "--tau-log2"),
+        (["sample", "--dual", "dual.json", "--r", "7"], "--r"),
     ]
 
     @pytest.mark.parametrize(

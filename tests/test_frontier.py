@@ -11,7 +11,7 @@ from test_regulator_oracle import group_determinant_regulator
 from unitlat import recovery
 from unitlat.buchmann_pohst import bp_reduce
 from unitlat.cli import main
-from unitlat.recovery import cyclotomic_log_basis
+from unitlat.recovery import cyclotomic_log_basis, regulator_from_basis
 
 
 def recover(argv, capsys):
@@ -31,19 +31,39 @@ def test_m23_rank10_regulator_matches_group_determinant(capsys):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("m", [33, 44])
 def test_rank9_composites_exit_0(m, seed, capsys):
-    """The sampler now spans the dual at m = 33 and 44. Their regulators are
-    not verified: no reference reaches them, and bp_reduce's basis carries the
-    signature of the wrong m = 21 and 36 regulators (see
-    test_bp_basis_coordinates_stay_short)."""
+    """The sampler spans the dual at m = 33 and 44. No reference reaches
+    their regulators; test_composite_regulators_stable_in_precision checks
+    them against a second working precision instead."""
     argv = ["--cyclotomic", str(m), "--precision-bits", "128", "--seed", str(seed)]
     out = recover(argv, capsys)
     assert out["index"] == 1
 
 
+@pytest.mark.parametrize(
+    "m,expect", [(21, 2.19998118758548), (36, 5.088678168670572)]
+)
+def test_composite_recover_matches_minor_gcd_reference(m, expect, capsys):
+    """recover at m = 21 and 36 reported 0.24627 and 0.84811 with exit 0
+    while the basis came from bp_reduce's rounded basis_approx."""
+    out = recover(["--cyclotomic", str(m), "--precision-bits", "128", "--seed", "1"], capsys)
+    assert out["index"] == 1
+    assert abs(out["regulator"] - expect) <= 1e-10 * expect
+
+
+@pytest.mark.parametrize("m", [33, 44])
+def test_composite_regulators_stable_in_precision(m):
+    """The certified basis gives one regulator at 128 and 192 bits (122.639
+    at m = 33, 274.612 at m = 44); bp_reduce's basis_approx gave 3.0859 and
+    6.4661 at m = 33."""
+    low, high = (regulator_from_basis(cyclotomic_log_basis(m, bits)) for bits in (128, 192))
+    assert abs(low - high) <= 1e-10 * high
+
+
 WRONG_BP_BASIS = pytest.mark.xfail(
     strict=True,
-    reason="bp_reduce's basis coordinates reach about q = 128 bits, the defect "
-    "behind the wrong m = 21 and 36 regulators (ROADMAP item 1)",
+    reason="bp_reduce's basis coordinates reach about q = 128 bits here, so its "
+    "basis_approx is off by about 2^-1; cyclotomic_log_basis reads only the "
+    "exact coordinates, bp_reduce itself is unchanged (ROADMAP item 1)",
 )
 
 
@@ -55,8 +75,8 @@ WRONG_BP_BASIS = pytest.mark.xfail(
 def test_bp_basis_coordinates_stay_short(m, monkeypatch):
     """The unit basis bp_reduce returns for cyclotomic_log_basis is a short
     integer combination of the generators: 1-bit coefficients at m = 15 and
-    28, whose regulators match their references. Coefficients near q bits are
-    rounding noise, not units."""
+    28. Coefficients near q bits are still exact coordinates of units, but
+    bp_reduce's basis_approx, whose error grows with them, is then wrong."""
     results = []
 
     def spy(*args, **kwargs):

@@ -164,9 +164,9 @@ class TestBaseline:
         )
         res = recover_baseline(p, k=4)
         assert res.feasible
-        # recovered L* basis is (5), so L = (1/5)Z
-        row = res.b_l_star_fixed[0]
-        val = abs(row.to_rationals()[0])
+        # recovered L* basis is (5), so L = (1/5)Z; b_l_approx is the exact
+        # inverse of the recovered L* basis
+        val = 1 / abs(res.b_l_approx[0][0])
         assert abs(val - 5) < F(1, 2**16)
         assert abs(abs(res.b_l_approx[0][0]) - F(1, 5)) < F(1, 2**16)
 

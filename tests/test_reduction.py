@@ -72,7 +72,7 @@ class TestIntegerLLL:
         for _ in range(25):
             b = rand_basis(rng, rng.randint(2, 5))
             red, u = lll_reduce(b)
-            assert is_reduced(wrap_rows(red), DEFAULT_DELTA, INTEGERS)
+            assert is_reduced(wrap_rows(red), DEFAULT_DELTA)
             assert abs(u.det()) == 1
             assert u.matmul(b).rows == red.rows
             assert hnf_rational(red.rows) == hnf_rational(b.rows)
@@ -98,15 +98,15 @@ class TestIntegerLLL:
             except RankError:
                 continue
             red, _ = lll_reduce(b)
-            assert check_reduced_bound(red, DEFAULT_DELTA, INTEGERS)
+            assert check_reduced_bound(red, DEFAULT_DELTA)
 
     def test_norm_bound_fails_on_skewed_lattice(self):
         """diag(1, 4) is reduced yet violates the uniform norm bound: the
         bound is a property of bounded-defect bases, not of all reduced
         ones."""
         b = BasisMatrix.diagonal([F(1), F(4)])
-        assert is_reduced(wrap_rows(b), DEFAULT_DELTA, INTEGERS)
-        assert not check_reduced_bound(b, DEFAULT_DELTA, INTEGERS)
+        assert is_reduced(wrap_rows(b), DEFAULT_DELTA)
+        assert not check_reduced_bound(b, DEFAULT_DELTA)
 
 
 def rand_rows(rng, n, bits, rational, identity_block):
@@ -142,9 +142,9 @@ class TestIntegerCoreMatchesReference:
                 ref_b, ref_u = _lll_rows(ring_rows, delta, INTEGERS)
             except RankError:  # small entries can draw dependent rows
                 with pytest.raises(RankError):
-                    lll_reduce_rows(ring_rows, delta, INTEGERS)
+                    lll_reduce_rows(ring_rows, delta)
                 continue
-            red, u = lll_reduce_rows(ring_rows, delta, INTEGERS)
+            red, u = lll_reduce_rows(ring_rows, delta)
             assert red == [tuple(r) for r in ref_b]
             assert u == [tuple(r) for r in ref_u]
             if not identity_block:
@@ -183,7 +183,7 @@ class TestIntegerCoreMatchesReference:
             with pytest.raises(RankError):
                 _lll_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
             with pytest.raises(RankError):
-                lll_reduce_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
+                lll_reduce_rows(ring_rows, DEFAULT_DELTA)
 
     @pytest.mark.parametrize("delta", [F(1, 4), F(1)])
     def test_delta_out_of_range(self, delta):
@@ -194,14 +194,52 @@ class TestIntegerCoreMatchesReference:
         "m, digest",
         [
             (11, "e90c73840e12fc29879ced2f15b17408e23401340986043e6676c5d6a7963326"),
-            (13, "f7390c9dac4d8ac1ca23c13ff3ea80619c1560b74fb7476081c44f0b8698a328"),
+            (13, "c0834baf81cf3d3bdc2c32f85306229da7f21f19c1d6488ff9d7ac7f145a5bfb"),
         ],
     )
     def test_cyclotomic_log_basis_pinned(self, m, digest):
-        """bp_reduce output on the cyclotomic log lattice, pinned from the
-        Fraction-loop implementation."""
+        """The cyclotomic log basis, pinned. m = 11 is the value of the
+        Fraction-loop implementation; m = 13 was re-pinned when the basis
+        became the certified log of bp_reduce's coordinate products (one
+        entry moved by 2^-128)."""
         b = cyclotomic_log_basis(m)
         assert hashlib.sha256(b.dumps().encode()).hexdigest() == digest
+
+
+class TestRingFromInput:
+    """The ring is read off the input: a BasisMatrix is over Z, an OKMatrix
+    over its ring, ring-element rows over their entries' kind."""
+
+    def test_basis_matrix_is_checked_over_z(self):
+        """mu = 3/5 is size-reduced over Z[i] (N = 9/25 <= 1/2), not over Z."""
+        b = BasisMatrix([[F(5), F(0)], [F(3), F(10)]])
+        assert not is_reduced(b, F(99, 100))
+        assert not is_reduced(wrap_rows(b), F(99, 100))
+        gaussian = wrap_rows(b, GAUSSIAN)
+        assert is_reduced(gaussian, F(99, 100))
+        assert is_reduced(OKMatrix(tuple(map(tuple, gaussian)), GAUSSIAN), F(99, 100))
+
+    @pytest.mark.parametrize("ring", [GAUSSIAN, EISENSTEIN])
+    def test_rows_and_matrix_agree(self, ring):
+        mat = rand_ok_matrix(random.Random(8), ring, 3)
+        red, u = lll_reduce(mat)
+        assert (list(red.rows), list(u.rows)) == lll_reduce_rows(mat.rows)
+
+    def test_integer_ok_matrix_reduces_as_basis_matrix(self):
+        b = BasisMatrix([[F(201), F(37)], [F(1648), F(297)]])
+        red, u = lll_reduce(OKMatrix(tuple(map(tuple, wrap_rows(b))), INTEGERS))
+        red_z, u_z = lll_reduce(b)
+        assert tuple(tuple(e.a for e in r) for r in red.rows) == red_z.rows
+        assert tuple(tuple(e.a for e in r) for r in u.rows) == u_z.rows
+
+    def test_mixed_kinds_rejected(self):
+        rows = [
+            [RingElement(1, 1, GAUSSIAN.kind), RingElement(0)],
+            [RingElement(0), RingElement(1)],
+        ]
+        for check in (lll_reduce_rows, is_reduced, check_reduced_bound):
+            with pytest.raises(ConfigurationError, match="one ring kind"):
+                check(rows)
 
 
 class TestRingLLL:
@@ -210,8 +248,8 @@ class TestRingLLL:
         rng = random.Random(3)
         for _ in range(10):
             mat = rand_ok_matrix(rng, ring, 2)
-            red, u = lll_reduce(mat, DEFAULT_DELTA, ring)
-            assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA, ring)
+            red, u = lll_reduce(mat, DEFAULT_DELTA)
+            assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA)
             # transform entries are ring integers with unit determinant
             det = (
                 u.rows[0][0] * u.rows[1][1] - u.rows[0][1] * u.rows[1][0]
@@ -223,7 +261,7 @@ class TestRingLLL:
         rng = random.Random(4)
         for _ in range(10):
             mat = rand_ok_matrix(rng, ring, 2)
-            red, _ = lll_reduce(mat, DEFAULT_DELTA, ring)
+            red, _ = lll_reduce(mat, DEFAULT_DELTA)
             before = hnf_rational([[F(x) for x in r] for r in mat.underlying_z_rows()])
             after = hnf_rational([[F(x) for x in r] for r in red.underlying_z_rows()])
             assert before == after
@@ -231,8 +269,8 @@ class TestRingLLL:
     def test_size_reduction_condition(self):
         rng = random.Random(5)
         mat = rand_ok_matrix(rng, GAUSSIAN, 3)
-        red, _ = lll_reduce(mat, DEFAULT_DELTA, GAUSSIAN)
-        assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA, GAUSSIAN)
+        red, _ = lll_reduce(mat, DEFAULT_DELTA)
+        assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA)
 
 
 def _sympy_hnf_rows(a):

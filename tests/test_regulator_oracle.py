@@ -44,11 +44,10 @@ def test_prime_power_regulator_matches_group_determinant(m):
     assert abs(got - expect) <= 1e-10 * expect
 
 
-@pytest.mark.xfail(
-    reason="bp_reduce returns a wrong basis at these composite conductors "
-    "(size-reduced coefficients reach 127 bits); 0.24627 and 0.84811 today",
-)
 @pytest.mark.parametrize("m,expect", [(21, 2.19998118758548), (36, 5.088678168670572)])
 def test_composite_regulator_matches_minor_gcd_reference(m, expect):
+    """bp_reduce's basis coordinates reach 127 bits here; the basis is the
+    certified log of the units they give, so they cost no accuracy (its
+    rounded basis_approx gave 0.24627 and 0.84811)."""
     got = regulator_from_basis(cyclotomic_log_basis(m))
     assert abs(got - expect) <= 1e-10 * expect
