@@ -39,7 +39,6 @@ from .lattice_core import (
     _check_exponent,
     dot,
     norm_sq,
-    op_norm_two_sq,
     round_half_away,
     round_ratio,
     sqrt_lower,
@@ -171,7 +170,7 @@ def klein_basis(basis: BasisMatrix) -> KleinBasis:
     if m <= ENUMERATION_DIM_LIMIT:
         lo = hi = _shortest_sq(den, ints, d, lam)
     else:
-        lo = 1 / op_norm_two_sq(basis.dual())
+        lo = min(gs_sq)
         hi = Fraction(min(sum(x * x for x in row) for row in ints), scale)
     return KleinBasis(
         den=den,
@@ -189,11 +188,10 @@ def lambda1_sq_bracket(basis: BasisMatrix) -> tuple:
     """(lo, hi) with lo <= lambda_1^2 <= hi, both exact rationals.
 
     Up to ENUMERATION_DIM_LIMIT, lo = hi = lambda_1^2, enumerated over the
-    LLL-reduced basis. Above it, lo = 1 / max_j ||row_j((B^t)^-1)||^2: a
-    nonzero lattice vector v = x B has some coordinate x_j =
-    <v, row_j((B^t)^-1)> that is a nonzero integer, so
-    1 <= ||v|| ||row_j((B^t)^-1)|| by Cauchy-Schwarz; and hi is the least
-    squared row norm of the LLL-reduced basis, a nonzero lattice vector.
+    LLL-reduced basis. Above it, lo = min_i ||r~_i||^2 over the reduced
+    basis R: if x_j is the last nonzero coordinate of v = sum x_i r_i, v's
+    component along r~_j is x_j r~_j, so ||v|| >= ||r~_j||; and hi is the
+    least squared row norm of R, a nonzero lattice vector.
     """
     return klein_basis(basis).lam_sq_bracket
 

@@ -45,23 +45,21 @@ def ceil_log2(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class BPParams:
-    """Problem bounds: lambda_1(L) >= mu, det L <= D, plus LLL parameters."""
+    """Problem bounds lambda_1(L) >= mu and det L <= D over ring (c_K at DEFAULT_DELTA)."""
 
     mu: Fraction
     D: Fraction
-    delta: Fraction = DEFAULT_DELTA
     ring: RingDescriptor = INTEGERS
 
     def __post_init__(self):
         object.__setattr__(self, "mu", Fraction(self.mu))
         object.__setattr__(self, "D", Fraction(self.D))
-        object.__setattr__(self, "delta", Fraction(self.delta))
         if self.mu <= 0 or self.D <= 0:
             raise ValueError("mu and D must be positive")
 
     @property
     def c_k(self) -> Fraction:
-        return 1 / (self.delta - self.ring.euclidean_minimum)
+        return 1 / (DEFAULT_DELTA - self.ring.euclidean_minimum)
 
     def derive(self, m: int, k: int) -> "DerivedBounds":
         b = self.c_k**m * nth_root_upper(self.D, m)
@@ -138,6 +136,8 @@ def bp_reduce(
     if {e.kind for g in rows_val for e in g} != {ring.kind}:
         raise ConfigurationError(f"generators do not match params.ring {ring.kind!r}")
     m = len(rows_val[0])
+    if any(len(g) != m for g in rows_val):
+        raise ConfigurationError("generators differ in dimension")
     if k < m:
         raise RankError(f"need at least m={m} generators, got {k}")
 
@@ -156,7 +156,7 @@ def bp_reduce(
         bottom = [one if i == j else zero for i in range(k)]
         rows.append(top + bottom)
 
-    reduced, _ = lll_reduce_rows(rows, params.delta)
+    reduced, _ = lll_reduce_rows(rows)
 
     tops = [row[:m] for row in reduced]
     bottoms = [row[m:] for row in reduced]

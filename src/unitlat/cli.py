@@ -402,7 +402,8 @@ def main(argv=None) -> int:
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UnitlatError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (UnitlatError, OSError, json.JSONDecodeError, KeyError, ValueError,
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,6 +62,8 @@ def cyclotomic_generic_profile(conductor: int) -> FieldProfile:
     headline is the m^5 term.
     """
     m = conductor
+    if m < 3:
+        raise ConfigurationError("conductor must be at least 3")
     d_log2 = Fraction(m - 2) * _log2f(m)
     return FieldProfile(n=m + 1, n1=m + 1, n2=0, m=m, d_log2=d_log2)
 

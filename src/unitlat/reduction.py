@@ -13,13 +13,16 @@ the same decisions and return the same rows and transform. The ring is read
 off the input and never passed: a BasisMatrix is over Z, an OKMatrix over its
 .ring, ring-element rows over their entries' kind. hnf and snf are
 exact integer normal forms that keep no transform: hnf returns the Hermite
-form H, snf only the invariant factors.
+form H, snf only the invariant factors, from alternating row and column
+Hermite forms (Kannan-Bachem, SIAM J. Comput. 8, 1979) with no elimination of
+its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence
 
 from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, gram_data, integer_rows
@@ -383,68 +386,18 @@ def hnf_rational(rows: Sequence[Sequence[Fraction]]) -> tuple:
 
 
 def snf(a: Sequence[Sequence[int]]) -> list:
-    """Invariant factors d1 | d2 | ... of an integer matrix, rectangular-safe.
-
-    The min(rows, cols) diagonal entries of its Smith normal form, all
-    nonnegative; as many trailing ones as the rank falls short are 0.
+    """Invariant factors d1 | d2 | ... of an integer matrix, rectangular-safe:
+    the min(rows, cols) diagonal entries of its Smith normal form, all
+    nonnegative, 0 past the rank. Row and column Hermite forms alternate until
+    diagonal: the leading pivot shrinks until it divides its row, then its row
+    and column stay clear. One gcd/lcm pass orders the diagonal.
     """
-    s = [list(map(int, r)) for r in a]
-    n = len(s)
-    m = len(s[0]) if n else 0
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
-
-    def addmul_col(dst, src, q):
-        for row in s:
-            row[dst] -= q * row[src]
-
-    t = 0
-    while t < min(n, m):
-        # find a nonzero pivot at or after (t, t)
-        piv = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if s[i][j] != 0:
-                    if piv is None or abs(s[i][j]) < abs(s[piv[0]][piv[1]]):
-                        piv = (i, j)
-        if piv is None:
-            break
-        s[t], s[piv[0]] = s[piv[0]], s[t]
-        swap_cols(t, piv[1])
-        while True:
-            # clear row and column t
-            for i in range(t + 1, n):
-                if s[i][t] != 0:
-                    addmul_row(i, t, s[i][t] // s[t][t])
-            for j in range(t + 1, m):
-                if s[t][j] != 0:
-                    addmul_col(j, t, s[t][j] // s[t][t])
-            nz = [i for i in range(t + 1, n) if s[i][t] != 0]
-            nzc = [j for j in range(t + 1, m) if s[t][j] != 0]
-            if nz:
-                i = min(nz, key=lambda i: abs(s[i][t]))
-                s[t], s[i] = s[i], s[t]
-                continue
-            if nzc:
-                j = min(nzc, key=lambda j: abs(s[t][j]))
-                swap_cols(t, j)
-                continue
-            # divisibility: s[t][t] must divide every later entry
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if s[i][j] % s[t][t] != 0:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
-            if bad is None:
-                break
-            addmul_row(t, bad[0], -1)  # add offending row into row t, re-eliminate
-        t += 1
-    return [abs(s[i][i]) for i in range(min(n, m))]
+    h = hnf(a)
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row) if i != j):
+        h = hnf(list(zip(*h)))
+    n = min(len(a), len(a[0])) if a else 0
+    d = [h[i][i] for i in range(len(h))] + [0] * (n - len(h))
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d

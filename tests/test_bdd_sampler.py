@@ -275,7 +275,13 @@ class TestLambda1Bracket:
         lam_sq = shortest_vector_sq(b)
         lo, hi = lambda1_sq_bracket(b)
         assert lo <= lam_sq <= hi
-        assert lo < hi  # the bound pair, not an enumerated value
+        # the bound pair's lower end, the least Gram-Schmidt norm of the
+        # reduced basis R (it may meet lambda_1^2), never below the dual-row
+        # bound 1 / max ||d_i||^2 on R, as <d_i, r~_i> = 1
+        kb = klein_basis(b)
+        assert lo == min(kb.gs_norm_sq)
+        r = BasisMatrix([[F(x, kb.den) for x in row] for row in kb.rows])
+        assert lo >= 1 / op_norm_two_sq(r.dual())
 
 
 class TestSampler:

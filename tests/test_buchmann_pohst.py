@@ -168,6 +168,13 @@ class TestIntegerBP:
         with pytest.raises(RankError):
             bp_reduce([fp([1, 2], 40)], BPParams(mu=1, D=4))
 
+    def test_generators_of_unequal_dimension_rejected(self):
+        """A short generator is an input error, not a rank deficiency or a
+        precision failure."""
+        for gens in ([fp([1, 2], 40), fp([2], 40)], [fp([2**32, 0], 40), fp([0], 40)]):
+            with pytest.raises(ConfigurationError, match="differ in dimension"):
+                bp_reduce(gens, BPParams(mu=1, D=4))
+
 
 class TestGaussianBP:
     def test_gaussian_module(self):
@@ -198,6 +205,13 @@ class TestGaussianBP:
             )
         with pytest.raises(ConfigurationError, match="do not match params.ring"):
             bp_reduce([fp([1], 40), fp([2], 40)], BPParams(mu=1, D=8, ring=GAUSSIAN))
+
+    def test_generators_of_unequal_dimension_rejected(self):
+        g = RingElement(F(1), F(2), "gaussian")
+        with pytest.raises(ConfigurationError, match="differ in dimension"):
+            bp_reduce(
+                [[g, g], [g * g]], BPParams(mu=1, D=8, ring=GAUSSIAN), input_precision_bits=48
+            )
 
 
 def _scale(e, q):

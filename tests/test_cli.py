@@ -319,6 +319,8 @@ class TestExitCodes:
         "zero-denominator.json": {"ring": "gaussian", "rows": [[{"a": "1/0", "b": "0",
                                                                  "ring": "gaussian"}]]},
         "ring-int-entries.json": {"ring": "gaussian", "rows": [[1, 0], [0, 1]]},
+        "ragged.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1, 2], [2]]},
+        "ragged-long.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1 << 32, 0], [0]]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -373,6 +375,25 @@ class TestExitCodes:
         ("planted-config-precision",
          ["recover", "--config", "planted.json", "--precision-bits", "999"], 1,
          "usage error: --precision-bits is not read with a planted config instance"),
+        ("reduce-delta-zero-denominator", ["reduce", "--in", "id2.json", "--delta", "1/0"], 1,
+         "error: Fraction(1, 0)"),
+        ("sample-sigma-zero-denominator", ["sample", "--dual", "id2.json", "--sigma", "1/0"], 1,
+         "error: Fraction(1, 0)"),
+        ("sample-delta-zero-denominator", ["sample", "--dual", "id2.json", "--delta", "1/0"], 1,
+         "error: Fraction(1, 0)"),
+        ("estimate-logD-zero-denominator", ["estimate", "--m", "3", "--logD", "1/0"], 1,
+         "error: Fraction(1, 0)"),
+        ("estimate-kummer-zero-denominator", ["estimate", "--kummer", "3", "1/0"], 1,
+         "error: Fraction(1, 0)"),
+        ("estimate-compare-conductor-0", ["estimate", "--cyclotomic", "0", "--compare"], 1,
+         "error: conductor must be at least 3"),
+        ("estimate-compare-conductor-negative",
+         ["estimate", "--cyclotomic", "-4", "--compare"], 1,
+         "error: conductor must be at least 3"),
+        ("ragged-bp", ["bp", "--in", "ragged.json"], 1,
+         "error: generators differ in dimension"),
+        ("ragged-long-bp", ["bp", "--in", "ragged-long.json"], 1,
+         "error: generators differ in dimension"),
     ]
 
     @pytest.mark.parametrize("name,argv,code,prefix", CASES, ids=[c[0] for c in CASES])

@@ -189,11 +189,11 @@ class TestBaseline:
         assert res.b_l_approx is None
 
     def test_mu_reads_the_lower_lambda1_end(self, monkeypatch):
-        """At m = 23 the bracket is strict: mu = sqrt(lo) gives q = 92 where
+        """At m = 23 the bracket is strict: mu = sqrt(lo) gives q = 91 where
         the upper end would give 88. Below q the report comes back before any
         sample is drawn."""
         p = build_cyclotomic_problem(23, 128, seed=1)
-        p = dataclasses.replace(p, precision_bits=91)
+        p = dataclasses.replace(p, precision_bits=90)
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("the infeasible path drew samples")
@@ -201,7 +201,7 @@ class TestBaseline:
         monkeypatch.setattr(recovery, "sample_dual", no_sampling)
         res = recover_baseline(p)
         assert not res.feasible
-        assert res.required_q == 92
+        assert res.required_q == 91
         assert res.samples_used == recovery._sample_count(p, None)
 
     @pytest.mark.parametrize("m", [5, 7, 11, 16])

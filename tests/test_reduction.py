@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from test_lattice_core import reference_gram_schmidt
@@ -537,6 +539,61 @@ class TestSNF:
             a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
             ref = smith_normal_form(sympy.Matrix(a))
             assert snf(a) == [abs(int(ref[i, i])) for i in range(n)]
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-6 x 1-6 integer matrices with entries up to 10^6 in size; about half
+    have a last row that is an integer combination of two others."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.lists(st.integers(-(10**6), 10**6), min_size=n, max_size=n)
+    a = draw(st.lists(row, min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 2)), draw(st.integers(0, k - 2))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a[-1] = [s * x + t * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+class TestSNFProperties:
+    """snf against the transform-carrying reference and the invariances
+    that define the Smith form."""
+
+    @given(integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, a):
+        s, _, _ = reference_snf(a)
+        assert snf(a) == [s[i][i] for i in range(min(len(a), len(a[0])))]
+
+    @given(integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_transpose_invariant(self, a):
+        assert snf(a) == snf(transpose(a))
+
+    @given(integer_matrices(), st.lists(
+        st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 5), st.integers(-9, 9)),
+        max_size=12,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_unimodular_invariant(self, a, ops):
+        """Each op adds q times one row (or column) to another, or negates a
+        row (or column) when both indices coincide: a unimodular change."""
+        b = [list(row) for row in a]
+        for on_rows, i, j, q in ops:
+            if not on_rows:
+                b = transpose(b)
+            i, j = i % len(b), j % len(b)
+            if i == j:
+                b[i] = [-x for x in b[i]]
+            else:
+                b[i] = [x + q * y for x, y in zip(b[i], b[j])]
+            if not on_rows:
+                b = transpose(b)
+        assert snf(b) == snf(a)
 
 
 class TestHNFRational:
