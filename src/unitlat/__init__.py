@@ -1,59 +1,55 @@
 """Exact lattice recovery from noisy dual samples, norm-Euclidean LLL,
-cyclotomic unit lattices and qubit resource estimation."""
+cyclotomic unit lattices and qubit resource estimation.
+
+The names below are imported on first access (PEP 562), so `import
+unitlat.cli` loads only the modules a command uses.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .lattice_core import (
-    BasisMatrix,
-    FixedPointVector,
-    op_norm,
-    sublattice_index,
-)
-from .rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingDescriptor, RingElement
-from .reduction import OKMatrix, hnf, lll_reduce, snf
-from .bdd_sampler import SampleRecord, SamplerConfig, babai_bdd, sample_dual
-from .buchmann_pohst import BPParams, BPResult, bp_reduce
-from .cyclotomic import CyclotomicField, alt_period_check, cyclotomic_unit_generators
-from .recovery import (
-    RecoveryProblem,
-    RecoveryResult,
-    compute_k,
-    recover_baseline,
-    recover_with_sublattice,
-)
-from .estimator import FieldProfile, ResourceEstimate, qubit_count_cyclotomic, qubit_count_generic
+_MODULE_OF = {
+    "BasisMatrix": "lattice_core",
+    "FixedPointVector": "lattice_core",
+    "op_norm": "lattice_core",
+    "sublattice_index": "lattice_core",
+    "RingDescriptor": "rings",
+    "RingElement": "rings",
+    "INTEGERS": "rings",
+    "GAUSSIAN": "rings",
+    "EISENSTEIN": "rings",
+    "OKMatrix": "reduction",
+    "hnf": "reduction",
+    "snf": "reduction",
+    "lll_reduce": "reduction",
+    "SamplerConfig": "bdd_sampler",
+    "SampleRecord": "bdd_sampler",
+    "babai_bdd": "bdd_sampler",
+    "sample_dual": "bdd_sampler",
+    "BPParams": "buchmann_pohst",
+    "BPResult": "buchmann_pohst",
+    "bp_reduce": "buchmann_pohst",
+    "CyclotomicField": "cyclotomic",
+    "cyclotomic_unit_generators": "cyclotomic",
+    "alt_period_check": "cyclotomic",
+    "RecoveryProblem": "recovery",
+    "RecoveryResult": "recovery",
+    "compute_k": "recovery",
+    "recover_with_sublattice": "recovery",
+    "recover_baseline": "recovery",
+    "FieldProfile": "estimator",
+    "ResourceEstimate": "estimator",
+    "qubit_count_generic": "estimator",
+    "qubit_count_cyclotomic": "estimator",
+}
 
-__all__ = [
-    "BasisMatrix",
-    "FixedPointVector",
-    "op_norm",
-    "sublattice_index",
-    "RingDescriptor",
-    "RingElement",
-    "INTEGERS",
-    "GAUSSIAN",
-    "EISENSTEIN",
-    "OKMatrix",
-    "hnf",
-    "snf",
-    "lll_reduce",
-    "SamplerConfig",
-    "SampleRecord",
-    "babai_bdd",
-    "sample_dual",
-    "BPParams",
-    "BPResult",
-    "bp_reduce",
-    "CyclotomicField",
-    "cyclotomic_unit_generators",
-    "alt_period_check",
-    "RecoveryProblem",
-    "RecoveryResult",
-    "compute_k",
-    "recover_with_sublattice",
-    "recover_baseline",
-    "FieldProfile",
-    "ResourceEstimate",
-    "qubit_count_generic",
-    "qubit_count_cyclotomic",
-]
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

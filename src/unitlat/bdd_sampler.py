@@ -27,7 +27,6 @@ import math
 import random
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import List, Sequence
@@ -36,7 +35,9 @@ from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
+    Record,
     _check_exponent,
+    _set_field,
     dot,
     norm_sq,
     round_half_away,
@@ -48,8 +49,7 @@ from .enumeration import ENUMERATION_DIM_LIMIT, _shortest_sq
 from .reduction import lll_reduce_gram
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
+class SamplerConfig(Record):
     """Parameters of the simulated dual lattice sampler.
 
     delta: noise radius as a fraction of lambda_1 of the dual lattice.
@@ -77,13 +77,17 @@ class SamplerConfig:
             raise ConfigurationError("sigma must be positive")
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(Record):
     """One sampler output plus the planted ground truth (test harness only)."""
 
     y_tilde: FixedPointVector
     ground_truth_coords: tuple
     failed: bool
+
+    def __init__(self, y_tilde, ground_truth_coords, failed):  # faster than the generic one
+        _set_field(self, "y_tilde", y_tilde)
+        _set_field(self, "ground_truth_coords", ground_truth_coords)
+        _set_field(self, "failed", failed)
 
     def to_json(self) -> dict:
         return {
@@ -140,8 +144,7 @@ PAD = 2.0**-40
 _FLOAT_LIMIT = Fraction(sys.float_info.max) / 16
 
 
-@dataclass(frozen=True)
-class KleinBasis:
+class KleinBasis(Record):
     """What the nearest-plane sampler needs of a basis B, from one LLL.
 
     The reduced basis is R = U B with U unimodular; den * R = rows in

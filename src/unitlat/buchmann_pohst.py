@@ -9,7 +9,6 @@ rounding so the precision requirement q is sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +17,7 @@ from .lattice_core import (
     FixedPointVector,
     PrecisionError,
     RankError,
+    Record,
     nth_root_upper,
     sqrt_upper,
 )
@@ -43,8 +43,7 @@ def ceil_log2(x: Fraction) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class BPParams:
+class BPParams(Record):
     """Problem bounds lambda_1(L) >= mu and det L <= D over ring (c_K at DEFAULT_DELTA)."""
 
     mu: Fraction
@@ -74,14 +73,12 @@ class BPParams:
         return DerivedBounds(m_tilde, max(q, 1))
 
 
-@dataclass(frozen=True)
-class DerivedBounds:
+class DerivedBounds(Record):
     m_tilde: Fraction
     q: int
 
 
-@dataclass(frozen=True)
-class BPResult:
+class BPResult(Record):
     """Output of bp_reduce: approximate basis plus exact relation data."""
 
     basis_approx: tuple  # m rows of RingElement entries, values scaled back by 2^-q

@@ -22,16 +22,7 @@ from .bdd_sampler import (
     verify_sampler_contract,
 )
 from .buchmann_pohst import BPParams, bp_reduce, relation_norm_check
-from .estimator import (
-    cyclotomic_generic_profile,
-    qubit_count_cyclotomic,
-    qubit_count_generic,
-    render_csv,
-    render_json,
-    render_table,
-    totally_real_profile,
-)
-from .lattice_core import BasisMatrix, ConfigurationError, FixedPointVector, UnitlatError
+from .lattice_core import BasisMatrix, ConfigurationError, FixedPointVector, UnitlatError, clip
 from .recovery import (
     ContractViolationError,
     InsufficientSamplesError,
@@ -54,10 +45,21 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {clip(value)}")
     return value
+
+
+def _rational(text: str) -> str:
+    """argparse type of the rational flags: checked here, so that a bad value
+    is reported with its flag, but kept as the text, so that the namespace
+    (and config_hash) is the one the plain string gives."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {clip(repr(text))}") from None
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,6 +200,16 @@ def cmd_recover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimator import (  # here, so that no other command loads it
+        cyclotomic_generic_profile,
+        qubit_count_cyclotomic,
+        qubit_count_generic,
+        render_csv,
+        render_json,
+        render_table,
+        totally_real_profile,
+    )
+
     if args.m is None:
         _reject_unread(args, "requires --m", "logD")
     if args.cyclotomic is None:
@@ -347,8 +359,8 @@ def build_parser() -> _Parser:
     profile = p.add_mutually_exclusive_group(required=True)
     profile.add_argument("--m", type=int, default=None)
     profile.add_argument("--cyclotomic", type=int, default=None, metavar="M")
-    profile.add_argument("--kummer", nargs=2, default=None, metavar=("N", "LOGD"))
-    p.add_argument("--logD", type=str, default=None, help="--m only")
+    profile.add_argument("--kummer", nargs=2, type=_rational, default=None, metavar=("N", "LOGD"))
+    p.add_argument("--logD", type=_rational, default=None, help="--m only")
     p.add_argument("--compare", action="store_true", help="--cyclotomic only")
     p.add_argument("--tau-log2", dest="tau_log2", type=_positive_int, default=None,
                    help="default 20; with --cyclotomic only if --compare")
@@ -358,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--delta", default="99/100")
+    p.add_argument("--delta", type=_rational, default="99/100")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser(
@@ -375,10 +387,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--dual", required=True, help="dual basis matrix JSON")
-    p.add_argument("--delta", default="0")
-    p.add_argument("--eta", default="0")
-    p.add_argument("--sigma", default="1")
-    p.add_argument("--r", default=None, help="default 4; --verify only")
+    p.add_argument("--delta", type=_rational, default="0")
+    p.add_argument("--eta", type=_rational, default="0")
+    p.add_argument("--sigma", type=_rational, default="1")
+    p.add_argument("--r", type=_rational, default=None, help="default 4; --verify only")
     p.add_argument("--count", type=_positive_int, default=100)
     p.set_defaults(func=cmd_sample)
 

@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import euler_phi
-from .lattice_core import ConfigurationError
+from .lattice_core import ConfigurationError, Record
 
 EPSILON = Fraction(243, 1024)  # failure bound of the five-fold oracle tensor
 CONSTANT_CONVENTION = "all asymptotic constants set to 1"
@@ -27,8 +26,7 @@ def _log2f(x) -> Fraction:
     return Fraction(math.log2(float(x)))
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(Record):
     """Shape parameters of a number field as the estimator sees it.
 
     n: degree; (n1, n2): signature; m: unit rank; d_log2: log2 |discriminant|.
@@ -120,8 +118,7 @@ def sampler_qubits(
     )
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+class ResourceEstimate(Record):
     model: str  # "generic" | "cyclotomic" | "hsp-conjectural"
     m: int
     n: int

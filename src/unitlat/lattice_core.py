@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,6 +43,12 @@ class PrecisionError(UnitlatError, ValueError):
 
 class ContainmentError(UnitlatError, ValueError):
     """Claimed sublattice is not contained in the ambient lattice."""
+
+
+def clip(value, limit: int = 40) -> str:
+    """str(value) for an error message, cut after limit characters."""
+    text = str(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _to_frac(x) -> Fraction:
@@ -140,8 +145,74 @@ def _check_exponent(exponent: int) -> int:
     return exponent
 
 
-@dataclass(frozen=True)
-class FixedPointVector:
+# Stores a record field, as assignment raises. Fields are never written
+# through __dict__: touching it gives up the interpreter's inline attribute
+# values and makes every later read about twice as slow.
+_set_field = object.__setattr__
+
+
+class Record:
+    """Immutable record: the fields are the class annotations, in order, and
+    a class attribute of the same name is the field's default.
+
+    __init__ takes the fields positionally or by name, then __post_init__
+    validates or normalises them (through object.__setattr__). Equality, hash
+    and repr are over the fields; assignment raises; replace(**changes) is a
+    copy with some fields changed, validated again. Nothing is generated when
+    a subclass is defined, so importing the records costs no compilation.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        if len(args) > len(fields) or any(k in values or k not in fields for k in kwargs):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}")
+        values.update(kwargs)
+        for f in fields:
+            if f in values:
+                _set_field(self, f, values[f])
+            elif f in self._defaults:
+                _set_field(self, f, self._defaults[f])
+            else:
+                raise TypeError(f"{type(self).__name__}: missing field {f!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = (f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({', '.join(pairs)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; use replace()")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def replace(self, **changes) -> "Record":
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class FixedPointVector(Record):
     """Real vector stored as integer mantissas sharing one binary exponent.
 
     Coordinate i has exact value mantissas[i] * 2**-exponent.
@@ -150,9 +221,9 @@ class FixedPointVector:
     mantissas: tuple
     exponent: int
 
-    def __post_init__(self):
-        _check_exponent(self.exponent)
-        object.__setattr__(self, "mantissas", tuple(int(m) for m in self.mantissas))
+    def __init__(self, mantissas, exponent):  # one per sample: faster than the generic one
+        _set_field(self, "mantissas", tuple(map(int, mantissas)))
+        _set_field(self, "exponent", _check_exponent(exponent))
 
     @property
     def dim(self) -> int:

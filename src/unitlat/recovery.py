@@ -11,7 +11,6 @@ land, the second needs exponentially many bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,12 +28,14 @@ from .cyclotomic import (
     cyclotomic_unit_generators,
     generator_exponents,
     log_embedding,
+    orbit_unit_exponents,
 )
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     FixedPointVector,
     PrecisionError,
+    Record,
     UnitlatError,
     norm_sq,
     op_norm,
@@ -54,8 +55,7 @@ class ContractViolationError(UnitlatError, RuntimeError):
     """Recovered index exceeds the promised bound."""
 
 
-@dataclass(frozen=True)
-class RecoveryProblem:
+class RecoveryProblem(Record):
     """A hidden lattice L known through sampler access to its dual.
 
     b_m: basis of the known sublattice M of L (sublattice pipeline only).
@@ -122,8 +122,7 @@ def _draw(problem: "RecoveryProblem", k: Optional[int], samples) -> Sequence:
     return samples
 
 
-@dataclass(frozen=True)
-class RecoveryResult:
+class RecoveryResult(Record):
     b_l: BasisMatrix
     index: int
     samples_used: int
@@ -176,23 +175,17 @@ def recover_with_retries(
     problem: RecoveryProblem, k: int = None, attempts: int = 3
 ) -> RecoveryResult:
     """recover_with_sublattice, reseeding the sampler on rank failures."""
-    import dataclasses
-
     last = None
     for attempt in range(attempts):
-        cfg = dataclasses.replace(
-            problem.sampler, seed=problem.sampler.seed + 1009 * attempt
-        )
-        prob = dataclasses.replace(problem, sampler=cfg)
+        cfg = problem.sampler.replace(seed=problem.sampler.seed + 1009 * attempt)
         try:
-            return recover_with_sublattice(prob, k=k)
+            return recover_with_sublattice(problem.replace(sampler=cfg), k=k)
         except InsufficientSamplesError as exc:
             last = exc
     raise last
 
 
-@dataclass(frozen=True)
-class BaselineResult:
+class BaselineResult(Record):
     feasible: bool
     required_q: int
     b_l_approx: Optional[tuple]  # rows of the approximate basis of L
@@ -296,35 +289,36 @@ def lattices_equal(a: BasisMatrix, b: BasisMatrix) -> bool:
 def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     """Basis of the (projected) cyclotomic-unit log lattice of conductor m.
 
-    The generator log vectors live on the hyperplane of coordinate-sum zero,
-    so dropping the last coordinate is injective; the resulting fixed-point
-    generators are fed to the exact basis reconstruction. Scale-specific
-    bounds: unit-lattice minima are bounded below by a constant and the
-    covolume by the generator norms. Of its result only the exact integer
-    coordinates are read: each basis row is the log of the unit
-    prod_t (1 - zeta^t)^e_t they give, certified by log_embedding to
-    2^-precision_bits however large the coordinates are.
+    The log vectors live on the hyperplane of coordinate-sum zero, so
+    dropping the last coordinate is injective. Each basis row is the log of
+    a unit prod_t (1 - zeta^t)^e_t, certified by log_embedding to
+    2^-precision_bits however large the e_t are. For a prime power the units
+    are orbit_unit_exponents'. Otherwise the fixed-point generator logs go
+    to bp_reduce, of whose result only the exact integer coordinates are
+    read; its bounds: unit-lattice minima are bounded below by a constant
+    and the covolume by the generator norms.
     """
     field = CyclotomicField(m)
     rank = field.unit_rank
     if rank == 0:
         raise ConfigurationError(f"conductor {m} has unit rank 0")
-    gens = cyclotomic_unit_generators(field, precision_bits)
-    gens = [g for g in gens if any(g.log.mantissas[:rank])]
-    if len(gens) < rank:
-        # every log rounded to 0: a fresh seed cannot help, more bits can
-        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
-    rows = [FixedPointVector(g.log.mantissas[:rank], precision_bits) for g in gens]
-    det_bound = math.prod(sqrt_upper(norm_sq(r.to_rationals()) + 1) for r in rows[:rank])
-    params = BPParams(mu=Fraction(1, 8), D=max(det_bound, 1))
-    result = bp_reduce(rows, params, q_bits=precision_bits)
-    products = []
-    for coords in result.basis_coords:
-        exps = {}
-        for c, g in zip(coords, gens):
-            for t, e in generator_exponents(field, g.j, g.quotient_index).items():
-                exps[t] = exps.get(t, 0) + int(c.a) * e
-        products.append(exps)
+    if len(field.factorization) == 1:
+        products = orbit_unit_exponents(field, precision_bits)
+    else:
+        gens = cyclotomic_unit_generators(field, precision_bits)
+        gens = [g for g in gens if any(g.log.mantissas[:rank])]
+        if len(gens) < rank:
+            raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
+        rows = [FixedPointVector(g.log.mantissas[:rank], precision_bits) for g in gens]
+        det_bound = math.prod(sqrt_upper(norm_sq(r.to_rationals()) + 1) for r in rows[:rank])
+        params = BPParams(mu=Fraction(1, 8), D=max(det_bound, 1))
+        products = []
+        for coords in bp_reduce(rows, params, q_bits=precision_bits).basis_coords:
+            exps = {}
+            for c, g in zip(coords, gens):
+                for t, e in generator_exponents(field, g.j, g.quotient_index).items():
+                    exps[t] = exps.get(t, 0) + int(c.a) * e
+            products.append(exps)
     logs = log_embedding(products, field, precision_bits)
     return BasisMatrix([log.to_rationals()[:rank] for log in logs])
 

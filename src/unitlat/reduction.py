@@ -20,19 +20,26 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Sequence
 
-from .lattice_core import BasisMatrix, ConfigurationError, RankError, Rat, gram_data, integer_rows
+from .lattice_core import (
+    BasisMatrix,
+    ConfigurationError,
+    RankError,
+    Rat,
+    Record,
+    clip,
+    gram_data,
+    integer_rows,
+)
 from .rings import INTEGERS, RingDescriptor, RingElement, hdot, hnorm_sq, ring_by_kind
 
 DEFAULT_DELTA = Fraction(99, 100)  # matches the delta used for both Z and Z[i]
 
 
-@dataclass(frozen=True)
-class OKMatrix:
+class OKMatrix(Record):
     """Matrix with entries in a norm-Euclidean ring (or its fraction field)."""
 
     rows: tuple
@@ -111,7 +118,7 @@ def _check_delta(delta: Fraction, ring: RingDescriptor) -> None:
     mk = ring.euclidean_minimum
     if not (mk < delta < 1):
         raise ConfigurationError(
-            f"delta must lie in ({mk}, 1) for ring {ring.kind}, got {delta}"
+            f"delta must lie in ({mk}, 1) for ring {ring.kind}, got {clip(delta)}"
         )
 
 

@@ -8,18 +8,16 @@ a + b*omega with rational a, b; ring integers have integer coordinates.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice_core import round_half_away
+from .lattice_core import Record, round_half_away
 
 INTEGERS_KIND = "integers"
 GAUSSIAN_KIND = "gaussian"
 EISENSTEIN_KIND = "eisenstein"
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Record):
     """A norm-Euclidean coefficient ring with its Euclidean minimum."""
 
     kind: str

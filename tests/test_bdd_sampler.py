@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -318,7 +317,7 @@ class TestSampler:
         rounded once to precision_bits: at m = 11 and 128 bits, within 2^-129
         per coordinate, where a float detour left it up to 1.01e-16 off."""
         problem = build_cyclotomic_problem(11, 128, seed=1)
-        cfg = dataclasses.replace(problem.sampler, delta=Fraction(0))
+        cfg = problem.sampler.replace(delta=Fraction(0))
         for s in sample_dual(problem.hidden_dual, cfg, 40, 128):
             point = problem.hidden_dual.row_combination(s.ground_truth_coords)
             assert s.y_tilde == FixedPointVector.from_rationals(point, 128)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,15 +25,13 @@ def run_cli(args, capsys):
 
 def shrink_index_bound(monkeypatch):
     """Planted problems promise index 1, whatever index they hide."""
-    import dataclasses
-
     import unitlat.cli as cli_mod
     import unitlat.recovery as rec
 
     orig = rec.make_planted_problem
 
     def shrunk(dim, index=1, seed=0, **kw):
-        return dataclasses.replace(orig(dim, index, seed, **kw), index_bound=1)
+        return orig(dim, index, seed, **kw).replace(index_bound=1)
 
     monkeypatch.setattr(cli_mod, "make_planted_problem", shrunk)
 
@@ -328,7 +327,7 @@ class TestExitCodes:
          "error: basis matrix is singular"),
         ("conductor-6", ["recover", "--cyclotomic", "6"], 1,
          "error: conductor must be >= 3"),
-        ("precision-8", ["recover", "--cyclotomic", "5", "--precision-bits", "8"], 1,
+        ("precision-8", ["recover", "--cyclotomic", "12", "--precision-bits", "8"], 1,
          "error: input precision 8 bits < required q"),
         ("precision-0", ["recover", "--cyclotomic", "5", "--precision-bits", "0"], 1,
          "error: generator logs vanish at 0 bits"),
@@ -376,15 +375,18 @@ class TestExitCodes:
          ["recover", "--config", "planted.json", "--precision-bits", "999"], 1,
          "usage error: --precision-bits is not read with a planted config instance"),
         ("reduce-delta-zero-denominator", ["reduce", "--in", "id2.json", "--delta", "1/0"], 1,
-         "error: Fraction(1, 0)"),
+         "usage error: argument --delta: invalid rational value: '1/0'"),
         ("sample-sigma-zero-denominator", ["sample", "--dual", "id2.json", "--sigma", "1/0"], 1,
-         "error: Fraction(1, 0)"),
+         "usage error: argument --sigma: invalid rational value: '1/0'"),
         ("sample-delta-zero-denominator", ["sample", "--dual", "id2.json", "--delta", "1/0"], 1,
-         "error: Fraction(1, 0)"),
+         "usage error: argument --delta: invalid rational value: '1/0'"),
         ("estimate-logD-zero-denominator", ["estimate", "--m", "3", "--logD", "1/0"], 1,
-         "error: Fraction(1, 0)"),
+         "usage error: argument --logD: invalid rational value: '1/0'"),
         ("estimate-kummer-zero-denominator", ["estimate", "--kummer", "3", "1/0"], 1,
-         "error: Fraction(1, 0)"),
+         "usage error: argument --kummer: invalid rational value: '1/0'"),
+        ("reduce-delta-huge", ["reduce", "--in", "id2.json", "--delta", "1e400"], 1,
+         "error: delta must lie in (1/4, 1) for ring integers, got "
+         + "1" + "0" * 39 + "... (401 characters)\n"),
         ("estimate-compare-conductor-0", ["estimate", "--cyclotomic", "0", "--compare"], 1,
          "error: conductor must be at least 3"),
         ("estimate-compare-conductor-negative",
@@ -407,6 +409,15 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_prime_power_at_8_bits_exits_0(self, capsys):
+        """m = 5 at 8 bits raised "input precision 8 bits < required q" while
+        its unit basis came from bp_reduce; the Galois orbit basis needs no q,
+        and the regulator is log of the golden ratio to the working bits."""
+        code, out, err = run_cli(["recover", "--cyclotomic", "5", "--precision-bits", "8"], capsys)
+        assert (code, err) == (0, "")
+        golden = (1 + math.sqrt(5)) / 2
+        assert abs(json.loads(out)["regulator"] - math.log(golden)) <= 2**-7
 
 
 class TestRejectedFlags:
@@ -558,6 +569,20 @@ class TestEntryPoint:
         """Importing the CLI loads neither mpmath (only alt_period_check
         imports it, lazily) nor numpy."""
         code = "import sys, unitlat.cli; print(sorted({'mpmath', 'numpy'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cold_import_loads_no_record_machinery(self):
+        """`recover` pays the CLI's import in every fresh interpreter. The
+        records generate no code, so neither dataclasses nor inspect (nor
+        ast, dis or tokenize, which they import) is loaded, and the
+        estimator, with csv, loads only for `estimate`. pytest itself imports
+        dataclasses, hence the child interpreter."""
+        guarded = ["ast", "csv", "dataclasses", "dis", "inspect", "tokenize", "unitlat.estimator"]
+        code = f"import sys, unitlat.cli; print(sorted(set({guarded!r}) & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )

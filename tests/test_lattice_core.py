@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import unitlat
 from unitlat.lattice_core import (
     BasisMatrix,
+    ConfigurationError,
     ContainmentError,
     FixedPointVector,
     RankError,
@@ -138,6 +139,50 @@ class TestFixedPoint:
     def test_json_roundtrip(self):
         v = FixedPointVector((123456789123456789, -42), 77)
         assert FixedPointVector.from_json(v.to_json()) == v
+
+
+class TestRecord:
+    """The record base the package's value types share: fields from the
+    annotations, a class attribute as default, validation on every build."""
+
+    def test_fields_defaults_and_value_semantics(self):
+        from unitlat.bdd_sampler import SamplerConfig
+
+        cfg = SamplerConfig(F(1, 8), 4, 0, 2)
+        assert SamplerConfig._fields == ("delta", "r", "eta", "sigma", "seed")
+        assert cfg.seed == 0 and cfg.r == F(4)  # __post_init__ normalised it
+        same = SamplerConfig(delta=F(1, 8), r=4, eta=0, sigma=2, seed=0)
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != cfg.replace(seed=1)
+        v = FixedPointVector(mantissas=[3, -5], exponent=4)
+        assert v == FixedPointVector((3, -5), 4) and v.mantissas == (3, -5)
+        assert repr(v) == "FixedPointVector(mantissas=(3, -5), exponent=4)"
+
+    def test_immutable_and_replace_validates(self):
+        from unitlat.bdd_sampler import SamplerConfig
+
+        cfg = SamplerConfig(F(1, 8), 4, 0, 2)
+        with pytest.raises(AttributeError):
+            cfg.seed = 1
+        with pytest.raises(AttributeError):
+            del cfg.seed
+        assert cfg.replace(seed=3).seed == 3 and cfg.seed == 0
+        with pytest.raises(ConfigurationError):
+            cfg.replace(delta=F(1, 2))
+        with pytest.raises(ValueError):
+            FixedPointVector((1,), 4).replace(exponent=-1)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((F(1, 8), 4, 0), {}), ((F(1, 8), 4, 0, 2, 0, 9), {}),
+         ((F(1, 8), 4, 0, 2), {"delta": 0}), ((F(1, 8), 4, 0, 2), {"colour": 1})],
+        ids=["missing", "too-many", "given-twice", "unknown"],
+    )
+    def test_bad_fields_raise(self, args, kwargs):
+        from unitlat.bdd_sampler import SamplerConfig
+
+        with pytest.raises(TypeError):
+            SamplerConfig(*args, **kwargs)
 
 
 class TestBasisMatrix:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -99,11 +98,11 @@ class TestPlantedRecovery:
             delta=F(49, 100), r=p.sampler.r, eta=0, sigma=p.sampler.sigma, seed=1
         )
         with pytest.raises(ConfigurationError):
-            dataclasses.replace(p, sampler=big_delta)
+            p.replace(sampler=big_delta)
 
     def test_index_bound_enforced(self):
         p = make_planted_problem(2, 5, seed=3)
-        shrunk = dataclasses.replace(p, index_bound=2)
+        shrunk = p.replace(index_bound=2)
         from unitlat.recovery import ContractViolationError
 
         with pytest.raises(ContractViolationError):
@@ -193,7 +192,7 @@ class TestBaseline:
         the upper end would give 88. Below q the report comes back before any
         sample is drawn."""
         p = build_cyclotomic_problem(23, 128, seed=1)
-        p = dataclasses.replace(p, precision_bits=90)
+        p = p.replace(precision_bits=90)
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("the infeasible path drew samples")
@@ -221,25 +220,25 @@ class TestBaseline:
         """floor(-log2(delta sqrt(hi) + 2^-p)): 2^-40 + 2^-256 gives 39 bits,
         delta = 0 leaves all p."""
         p = make_planted_problem(2, 2, seed=11)
-        quiet = dataclasses.replace(p.sampler, delta=F(1, 2**40))
-        res = recover_baseline(dataclasses.replace(p, precision_bits=256, sampler=quiet), k=16)
+        quiet = p.sampler.replace(delta=F(1, 2**40))
+        res = recover_baseline(p.replace(precision_bits=256, sampler=quiet), k=16)
         assert res.input_bits == 39
-        exact = dataclasses.replace(p.sampler, delta=0)
-        res = recover_baseline(dataclasses.replace(p, sampler=exact), k=16)
+        exact = p.sampler.replace(delta=0)
+        res = recover_baseline(p.replace(sampler=exact), k=16)
         assert res.input_bits == p.precision_bits == 64
 
     def test_noiseless_planted_baseline_recovers_exactly(self):
         """delta = 0: the samples are exact points of L* = Z^3, and the
         inverted basis generates L = Z^3 with no rounding."""
         p = make_planted_problem(3, 2, seed=5)
-        p = dataclasses.replace(p, sampler=dataclasses.replace(p.sampler, delta=0))
+        p = p.replace(sampler=p.sampler.replace(delta=0))
         res = recover_baseline(p, k=16)
         assert res.feasible
         assert lattices_equal(BasisMatrix(res.b_l_approx), BasisMatrix.identity(3))
 
     def test_baseline_needs_dual_det_bound(self):
         p = make_planted_problem(2, 1, seed=0)
-        p = dataclasses.replace(p, dual_det_bound=None)
+        p = p.replace(dual_det_bound=None)
         with pytest.raises(ConfigurationError):
             recover_baseline(p, k=8)
 
@@ -249,8 +248,8 @@ class TestBaseline:
         p = make_planted_problem(2, 2, seed=11)
         # the baseline needs near-noiseless samples (its precision demand);
         # the sublattice route works at either noise level
-        quiet = dataclasses.replace(p.sampler, delta=F(1, 2**40))
-        p = dataclasses.replace(p, precision_bits=256, sampler=quiet)
+        quiet = p.sampler.replace(delta=F(1, 2**40))
+        p = p.replace(precision_bits=256, sampler=quiet)
         sub = recover_with_retries(p, k=16)
         base = recover_baseline(p, k=16)
         assert base.feasible

@@ -41,7 +41,8 @@ def test_tracer_records_the_patched_layers(monkeypatch):
     """Installed in-process, the tracer wraps one planted_sweep operation and
     a cyclotomic log basis: the normal-form and bp_reduce spans are recorded
     and the bp_reduce observer reads its result, so a changed name or
-    return shape fails here rather than in a traced benchmark run."""
+    return shape fails here rather than in a traced benchmark run. The
+    conductor is composite (15): prime powers no longer call bp_reduce."""
     monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
     import workloads
 
@@ -52,7 +53,7 @@ def test_tracer_records_the_patched_layers(monkeypatch):
     tracer.install()
     try:
         result = tracer.root(0, workloads.planted_op, inp.data)
-        tracer.root(1, cyclotomic_log_basis, 5)
+        tracer.root(1, cyclotomic_log_basis, 15)
     finally:
         tracer.uninstall()
     assert workloads.planted_check(inp.data, result)[0]
