@@ -38,9 +38,7 @@ from .lattice_core import (
     Record,
     _check_exponent,
     _set_field,
-    dot,
     norm_sq,
-    round_half_away,
     round_ratio,
     sqrt_lower,
     sqrt_upper,
@@ -117,13 +115,15 @@ def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
     """Round a point near M* to M*: z = round(B_M^t y), its coordinates in
     the dual basis (B_M^t)^-1.
 
-    Exact given the fixed-point input; when dist(y_tilde, M*) < 1/(2 ||B_M||_2)
-    z gives the closest vector of M*.
+    Exact given the fixed-point input, and in integers: with B_M = N / D and
+    y = y_tilde.mantissas / 2^e, z_i = round_ratio(N_i . mantissas, D 2^e),
+    ties away from zero as in round_half_away. When
+    dist(y_tilde, M*) < 1/(2 ||B_M||_2) z gives the closest vector of M*.
     """
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
-    y_rat = y_tilde.to_rationals()
-    return tuple(round_half_away(dot(row, y_rat)) for row in b_m.rows)
+    mants, scale = y_tilde.mantissas, b_m.den << y_tilde.exponent
+    return tuple(round_ratio(sum(x * y for x, y in zip(row, mants)), scale) for row in b_m.ints)
 
 
 # the GPV smoothing slack: sigma >= max ||b~_i|| sqrt(ln(2n(1 + 1/eps)) / pi)

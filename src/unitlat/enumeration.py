@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .lattice_core import BasisMatrix, gram_data, integer_rows
+from .lattice_core import BasisMatrix, gram_data
 from .reduction import lll_reduce_gram
 
 ENUMERATION_DIM_LIMIT = 8
@@ -69,9 +69,9 @@ def coords_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> Iterator[tuple]:
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         return
-    den, ints = integer_rows(basis.rows)
+    den = basis.den
     bound = radius_sq.numerator * den * den // radius_sq.denominator
-    yield from _walk(*gram_data(ints), bound)
+    yield from _walk(*gram_data(basis.ints), bound)
 
 
 def lattice_points_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> list:

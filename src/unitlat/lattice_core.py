@@ -1,11 +1,11 @@
 """Exact lattice substrate: rational basis matrices, duals, norms, integer
 Gram-Schmidt data.
 
-Everything here is exact: matrix entries are `fractions.Fraction`, and
-determinants and inverses come from one fraction-free integer Gauss-Jordan
-on the rows scaled to integers (integer_rows), and the Gram-Schmidt data of
-integer rows are the integer Gram determinants and scaled coefficients that
-LLL and enumeration share (gram_data). Square roots of rationals are
+Everything here is exact: a basis matrix is stored as integer rows over one
+common denominator (integer_rows), its determinant and inverse come from one
+fraction-free integer Gauss-Jordan on those rows, and the Gram-Schmidt data
+of integer rows are the integer Gram determinants and scaled coefficients
+that LLL and enumeration share (gram_data). Square roots of rationals are
 bracketed by rational bounds with relative error below 2**-64.
 
 The package's error classes live here too, all under UnitlatError.
@@ -251,40 +251,63 @@ class FixedPointVector(Record):
 
 
 class BasisMatrix:
-    """Square full-rank matrix of exact rationals whose rows generate a lattice."""
+    """Square full-rank matrix of exact rationals whose rows generate a lattice.
 
-    __slots__ = ("rows", "m", "_det", "_inv", "_dual")
+    Stored as integer rows `ints` over one positive denominator `den`,
+    reduced so that gcd(den, every entry) = 1: equal matrices have equal
+    storage. `rows` is a Fraction view built on each access and never kept.
+    """
+
+    __slots__ = ("den", "ints", "m", "_det", "_dual")
 
     def __init__(self, rows):
-        mat = tuple(tuple(_to_frac(x) for x in row) for row in rows)
+        mat = [[_to_frac(x) for x in row] for row in rows]
         m = len(mat)
         if m == 0 or any(len(r) != m for r in mat):
             raise ValueError("basis matrix must be square and nonempty")
-        self.rows = mat
+        # the least common denominator leaves no common factor with the entries
+        den, ints = integer_rows(mat)
+        self.den = den
+        self.ints = tuple(map(tuple, ints))
         self.m = m
-        self._det = None
-        self._inv = None
+        dens, scaled = _lowest_rows(den, self.ints)
+        self._det = _gauss_jordan(scaled, m) * math.prod(den // d for d in dens)
         self._dual = None
-        if self.det() == 0:
+        if self._det == 0:
             raise RankError("basis matrix is singular")
 
     @classmethod
-    def _with_det(cls, rows, det: Fraction) -> "BasisMatrix":
-        """A matrix of Fraction rows whose nonzero determinant is already
-        known from how they were made: nothing is re-eliminated."""
+    def _with_det(cls, den: int, ints, det: int) -> "BasisMatrix":
+        """The matrix ints / den, den != 0 of either sign, whose nonzero
+        det(ints) is already known from how the rows were made: nothing is
+        re-eliminated."""
         self = cls.__new__(cls)
-        self.rows = tuple(tuple(row) for row in rows)
-        self.m = len(self.rows)
+        ints = tuple(map(tuple, ints))
+        m = len(ints)
+        g = math.gcd(den, *(x for row in ints for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = tuple(tuple(x // g for x in row) for row in ints)
+            det //= g**m
+        self.den = den // g
+        self.ints = ints
+        self.m = m
         self._det = det
-        self._inv = None
         self._dual = None
         return self
 
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, built anew on each access."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
+
     def __eq__(self, other):
-        return isinstance(other, BasisMatrix) and self.rows == other.rows
+        return isinstance(other, BasisMatrix) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.ints))
 
     def __repr__(self):
         return f"BasisMatrix({[[str(x) for x in r] for r in self.rows]})"
@@ -300,48 +323,50 @@ class BasisMatrix:
         return cls([[es[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)])
 
     def det(self) -> Fraction:
-        """det B = det(D B) / det D, D the diagonal of the row denominators."""
-        if self._det is None:
-            dens, ints = _scaled_rows(self.rows)
-            self._det = Fraction(_gauss_jordan(ints, self.m), math.prod(dens))
-        return self._det
+        """det B = det(ints) / den^m."""
+        return Fraction(self._det, self.den**self.m)
 
     def inverse_rows(self) -> tuple:
-        """B^-1 = (D B)^-1 D, from the Gauss-Jordan of [D B | I], computed once."""
-        if self._inv is None:
-            m = self.m
-            dens, ints = _scaled_rows(self.rows)
-            aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(ints)]
-            _gauss_jordan(aug, m)
-            p = aug[0][0]  # the left block ends as p I
-            self._inv = tuple(
-                tuple(Fraction(d * x, p) for d, x in zip(dens, row[m:])) for row in aug
-            )
-        return self._inv
+        """The rows of B^-1 as Fractions: the transpose of the dual's."""
+        return tuple(zip(*self.dual().rows))
 
     def transpose(self) -> "BasisMatrix":
-        return BasisMatrix._with_det(zip(*self.rows), self.det())
+        return BasisMatrix._with_det(self.den, zip(*self.ints), self._det)
 
     def inverse_as_matrix(self) -> "BasisMatrix":
-        return BasisMatrix._with_det(self.inverse_rows(), 1 / self.det())
+        return self.dual().transpose()
 
     def dual(self) -> "BasisMatrix":
         """Rows generating the dual lattice, (B^t)^-1 = (B^-1)^t, computed once;
-        the dual of the result is this matrix again, not a second inversion."""
+        the dual of the result is this matrix again, not a second inversion.
+
+        With B = D^-1 S, D = diag(d_i) and S the rows in lowest terms
+        (_lowest_rows), the Gauss-Jordan of [S | I] ends as [p I | X],
+        X = p S^-1 and p = +-det S, so B^-1 = X D / p.
+        """
         if self._dual is None:
-            self._dual = BasisMatrix._with_det(zip(*self.inverse_rows()), 1 / self.det())
+            m, den = self.m, self.den
+            dens, scaled = _lowest_rows(den, self.ints)
+            aug = [row + [int(i == j) for j in range(m)] for i, row in enumerate(scaled)]
+            _gauss_jordan(aug, m)
+            p = aug[0][0]
+            cols = zip(*(row[m:] for row in aug))
+            ints = [[d * x for x in col] for d, col in zip(dens, cols)]
+            # det(ints) / p^m = 1 / det B = den^m / det(self.ints)
+            self._dual = BasisMatrix._with_det(p, ints, (p * den) ** m // self._det)
             self._dual._dual = self
         return self._dual
 
     def matmul(self, other: "BasisMatrix") -> "BasisMatrix":
-        return BasisMatrix._with_det(_matmul(self.rows, other.rows), self.det() * other.det())
+        cols = tuple(zip(*other.ints))
+        ints = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in self.ints]
+        return BasisMatrix._with_det(self.den * other.den, ints, self._det * other._det)
 
     def row_combination(self, coeffs: Sequence[int]) -> tuple:
         """Integer combination of the rows: sum coeffs[i] * rows[i]."""
         assert len(coeffs) == self.m
         return tuple(
-            sum((Fraction(c) * x for c, x in zip(coeffs, col)), Fraction(0))
-            for col in zip(*self.rows)
+            Fraction(sum(c * x for c, x in zip(coeffs, col)), self.den) for col in zip(*self.ints)
         )
 
     def to_json(self) -> dict:
@@ -371,22 +396,24 @@ def integer_rows(rows) -> tuple:
 
 def common_denominator(basis: BasisMatrix) -> int:
     """Least common denominator D of the entries: D B is an integer matrix."""
-    return integer_rows(basis.rows)[0]
+    return basis.den
+
+
+def _lowest_rows(den: int, ints) -> tuple:
+    """(d, S): row i of ints / den in lowest terms is S_i / d_i, as lists.
+    Eliminating S rather than ints keeps rows with unrelated denominators
+    from carrying each other's factors; over one denominator the integers
+    would add up their sizes."""
+    dens, scaled = [], []
+    for row in ints:
+        g = math.gcd(den, *row)
+        dens.append(den // g)
+        scaled.append([x // g for x in row] if g != 1 else list(row))
+    return dens, scaled
 
 
 def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _matmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def _scaled_rows(rows) -> tuple:
-    """(d, N): d_i the common denominator of row i and N_i = d_i row_i."""
-    pairs = [integer_rows((row,)) for row in rows]
-    return [d for d, _ in pairs], [n for _, (n,) in pairs]
 
 
 def _gauss_jordan(a: list, m: int) -> int:
@@ -446,23 +473,21 @@ def gram_data(rows) -> tuple:
 
 def op_norm(basis: BasisMatrix) -> Fraction:
     """The (inf, 1) operator norm: max over columns of the column absolute sum."""
-    return max(sum((abs(x) for x in col), Fraction(0)) for col in zip(*basis.rows))
+    return Fraction(max(sum(map(abs, col)) for col in zip(*basis.ints)), basis.den)
 
 
 def op_norm_two_sq(basis: BasisMatrix) -> Fraction:
     """Exact square of the max row 2-norm."""
-    return max(norm_sq(row) for row in basis.rows)
+    return Fraction(max(sum(x * x for x in row) for row in basis.ints), basis.den**2)
 
 
 def sublattice_index(b_m: BasisMatrix, b_l: BasisMatrix) -> int:
     """Index [L:M] for M contained in L, as an exact positive integer."""
     if b_m.m != b_l.m:
         raise ValueError("dimension mismatch")
-    coords = _matmul(b_m.rows, b_l.inverse_rows())
-    for row in coords:
-        for x in row:
-            if x.denominator != 1:
-                raise ContainmentError("first lattice is not a sublattice of the second")
+    # M lies in L iff the coordinates B_M B_L^-1 are integers
+    if b_m.matmul(b_l.inverse_as_matrix()).den != 1:
+        raise ContainmentError("first lattice is not a sublattice of the second")
     index = abs(b_m.det() / b_l.det())
     assert index.denominator == 1 and index > 0
     return int(index)

@@ -159,7 +159,7 @@ def recover_with_sublattice(
         )
     # H is m x m upper triangular with positive pivots: det W is their product
     index = math.prod(h[i][i] for i in range(m))
-    w = BasisMatrix._with_det([[Fraction(x) for x in row] for row in h], Fraction(index))
+    w = BasisMatrix._with_det(1, h, index)
     factors = tuple(snf(h))
     assert math.prod(factors) == index
     if index > problem.index_bound:

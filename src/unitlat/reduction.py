@@ -247,8 +247,8 @@ def lll_reduce(basis, delta=DEFAULT_DELTA):
     ring unit).
     """
     if isinstance(basis, BasisMatrix):
-        red, u = _lll_rational(basis.rows, _as_delta(delta))
-        return BasisMatrix(red), BasisMatrix(u)
+        u = BasisMatrix(_lll_int(basis.ints, _as_delta(delta))[1])
+        return u.matmul(basis), u
     if isinstance(basis, OKMatrix):
         red, u = lll_reduce_rows(basis, delta)
         return OKMatrix(tuple(red), basis.ring), OKMatrix(tuple(u), basis.ring)
@@ -261,8 +261,7 @@ def lll_reduce_gram(basis: BasisMatrix) -> tuple:
     input, N = D R the reduced basis R = U B as integer rows, and d, lam are
     R's Gram determinants and scaled mu as in _lll_int (of N, so
     ||r_i*||^2 = d[i+1] / (d[i] D^2)). R and U are those of lll_reduce."""
-    den, ints = integer_rows(basis.rows)
-    return (den,) + tuple(_lll_int(ints, DEFAULT_DELTA))
+    return (basis.den,) + tuple(_lll_int(basis.ints, DEFAULT_DELTA))
 
 
 def lll_reduce_rows(rows, delta=DEFAULT_DELTA):

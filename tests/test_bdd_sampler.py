@@ -32,6 +32,7 @@ from unitlat.lattice_core import (
     common_denominator,
     norm_sq,
     op_norm_two_sq,
+    round_half_away,
     sqrt_lower,
 )
 
@@ -157,6 +158,34 @@ def rational_bases(draw):
         assume(False)
 
 
+@st.composite
+def babai_cases(draw):
+    """(B, y, ties): a random non-symmetric rational basis of dim 1-8 with
+    unrelated entry denominators and negative entries, a fixed-point target
+    y, and the rows i of B adjusted so that row_i . y is an exact
+    half-integer, of either sign."""
+    m = draw(st.integers(1, 8))
+    entry = st.fractions(min_value=-40, max_value=40, max_denominator=97)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    exponent = draw(st.integers(0, 70))
+    mant = st.integers(-(2 ** (exponent + 6)), 2 ** (exponent + 6))
+    y = FixedPointVector(draw(st.lists(mant, min_size=m, max_size=m)), exponent)
+    y_rat = y.to_rationals()
+    ties = []
+    j = next((j for j, v in enumerate(y_rat) if v), None)
+    if j is not None:
+        for i in draw(st.sets(st.integers(0, m - 1))):
+            half = draw(st.integers(-9, 9)) + F(1, 2)
+            rest = sum((x * v for k, (x, v) in enumerate(zip(rows[i], y_rat)) if k != j), F(0))
+            rows[i][j] = (half - rest) / y_rat[j]
+            ties.append(i)
+    assume(m == 1 or any(rows[i][k] != rows[k][i] for i in range(m) for k in range(i)))
+    try:
+        return BasisMatrix(rows), y, ties
+    except RankError:
+        assume(False)
+
+
 class TestConfig:
     def test_bounds(self):
         with pytest.raises(ConfigurationError):
@@ -206,6 +235,24 @@ class TestBabai:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             babai_bdd(FixedPointVector((1, 2, 3), 4), BasisMatrix.identity(2))
+
+    def test_ties_round_away_from_zero(self):
+        b = BasisMatrix([[F(1, 3), F(0)], [F(0), F(-1, 3)]])
+        # B y = (1/2, 3/2) and (-1/2, -3/2)
+        assert babai_bdd(FixedPointVector((3, -9), 1), b) == (1, 2)
+        assert babai_bdd(FixedPointVector((-3, 9), 1), b) == (-1, -2)
+
+    @given(babai_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        """The integer rounding equals round_half_away of the exact Fraction
+        dot product, also on the rows placed on a half-integer tie."""
+        b, y, ties = case
+        y_rat = y.to_rationals()
+        dots = [sum((x * v for x, v in zip(row, y_rat)), F(0)) for row in b.rows]
+        for i in ties:
+            assert (dots[i] - F(1, 2)).denominator == 1
+        assert babai_bdd(y, b) == tuple(round_half_away(d) for d in dots)
 
 
 def bracket(basis, beyond_limit=False):

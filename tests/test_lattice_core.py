@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import unitlat
@@ -291,6 +291,98 @@ class TestIntegerGaussJordanMatchesReference:
             )
             assert prod.det() == det
         assert 150 <= singular <= 250
+
+
+@st.composite
+def nonsingular_rows(draw):
+    """Fraction rows of a nonsingular matrix of dim 1-5, with negative
+    entries and unrelated denominators."""
+    m = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-30, max_value=30, max_denominator=50)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    det, _ = fraction_gauss_jordan(rows)
+    assume(det != 0)
+    return rows
+
+
+def fractions_in(x, seen=None) -> int:
+    """The Fractions reachable from x through tuples, lists and the slots
+    of a BasisMatrix (a matrix and its dual point at each other)."""
+    seen = set() if seen is None else seen
+    if isinstance(x, Fraction):
+        return 1
+    if isinstance(x, (tuple, list)):
+        return sum(fractions_in(y, seen) for y in x)
+    if isinstance(x, BasisMatrix) and id(x) not in seen:
+        seen.add(id(x))
+        return sum(fractions_in(getattr(x, slot, None), seen) for slot in BasisMatrix.__slots__)
+    return 0
+
+
+def assert_canonical(b):
+    """ints / den with den > 0, gcd(den, entries) = 1, ints only, and no
+    Fraction kept anywhere in the slots."""
+    assert type(b.den) is int and b.den > 0
+    assert isinstance(b.ints, tuple) and all(isinstance(row, tuple) for row in b.ints)
+    assert all(type(x) is int for row in b.ints for x in row)
+    assert math.gcd(b.den, *(x for row in b.ints for x in row)) == 1
+    assert type(b._det) is int
+    assert fractions_in(b) == 0
+
+
+class TestBasisMatrixStorage:
+    @given(nonsingular_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_and_rows_round_trip(self, rows):
+        b = BasisMatrix(rows)
+        assert b.rows == tuple(map(tuple, rows))
+        for c in (b, b.dual(), b.transpose(), b.inverse_as_matrix(), b.matmul(b.dual())):
+            c.rows  # a view: reading it stores nothing
+            assert_canonical(c)
+            assert BasisMatrix(c.rows) == c
+            assert all(Fraction(x, c.den) == y for r, v in zip(c.ints, c.rows) for x, y in zip(r, v))
+
+    @given(nonsingular_rows(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_matrices_compare_and_hash_equal(self, rows, k):
+        """__init__, _with_det (from a non-canonical scaling, also by a
+        negative factor), matmul, dual and transpose build equal matrices
+        with equal storage and equal hashes."""
+        b = BasisMatrix(rows)
+        m = b.m
+        one = BasisMatrix.identity(m)
+        scaled = BasisMatrix._with_det(
+            k * b.den, [[k * x for x in row] for row in b.ints], k**m * b._det
+        )
+        fresh_dual = BasisMatrix(b.dual().rows)
+        pairs = [
+            (scaled, b),
+            (b.matmul(one), b),
+            (one.matmul(b), b),
+            (b.transpose().transpose(), b),
+            (BasisMatrix(b.rows).dual(), b.dual()),
+            (fresh_dual, b.dual()),
+            (fresh_dual.dual(), b),
+            (b.inverse_as_matrix().transpose(), b.dual()),
+        ]
+        for c, d in pairs:
+            assert c == d and hash(c) == hash(d)
+            assert (c.den, c.ints, c.det()) == (d.den, d.ints, d.det())
+        assert b.dual().dual() is b
+
+    def test_lru_cache_keys_on_value(self):
+        from unitlat.bdd_sampler import klein_basis
+
+        b = BasisMatrix([[F(3, 2), F(-1, 3), F(2, 5)], [F(1, 4), F(5, 3), F(-2, 7)],
+                         [F(-1, 2), F(1, 6), F(9, 4)]])
+        same = b.dual().dual().matmul(BasisMatrix.identity(3))
+        assert same is not b
+        klein_basis.cache_clear()
+        try:
+            assert klein_basis(same) is klein_basis(b)
+            assert klein_basis.cache_info().hits == 1
+        finally:
+            klein_basis.cache_clear()
 
 
 class TestDual:

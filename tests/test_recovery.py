@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from test_bdd_sampler import reference_sample_dual
+from test_lattice_core import fractions_in
 from unitlat import recovery
 from unitlat.bdd_sampler import SamplerConfig, gpv_sigma, sample_dual, verify_sampler_contract
 from unitlat.enumeration import shortest_vector_sq
@@ -91,6 +92,18 @@ class TestPlantedRecovery:
         from unitlat.lattice_core import sublattice_index
 
         assert sublattice_index(p.b_m, r.b_l) == r.index
+
+    def test_result_keeps_no_fraction(self):
+        """A kept RecoveryResult holds integers only: b_l stores integer rows
+        over one denominator, and reading its Fraction rows (as the
+        benchmark's oracle does) caches nothing on it."""
+        for dim, index in ((2, 1), (4, 6), (6, 12)):
+            r = recover_with_retries(make_planted_problem(dim, index, seed=5), k=12 * dim)
+            assert r.index == index
+            fields = (r.b_l, r.w_hnf, r.invariant_factors, r.index, r.samples_used)
+            assert fractions_in(fields) == 0
+            assert all(x.denominator == 1 for row in r.b_l.rows for x in row)
+            assert fractions_in(fields) == 0
 
     def test_hypothesis_checked_at_construction(self):
         p = make_planted_problem(2, 3, seed=1)
