@@ -29,6 +29,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, product
+from operator import mul
 from typing import List, Sequence
 
 from .lattice_core import (
@@ -123,7 +124,7 @@ def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
     mants, scale = y_tilde.mantissas, b_m.den << y_tilde.exponent
-    return tuple(round_ratio(sum(x * y for x, y in zip(row, mants)), scale) for row in b_m.ints)
+    return tuple(round_ratio(sum(map(mul, row, mants)), scale) for row in b_m.ints)
 
 
 # the GPV smoothing slack: sigma >= max ||b~_i|| sqrt(ln(2n(1 + 1/eps)) / pi)
@@ -212,40 +213,51 @@ def gpv_sigma(basis: BasisMatrix) -> Fraction:
     return sqrt_upper(max(klein_basis(basis).gs_norm_sq) * factor)
 
 
-def _klein_draw(kb: KleinBasis, weights_at, halves, bound: int, rng: random.Random):
+def _window(a: float, c: float, half: float, spread: float) -> tuple:
+    """(lo, cum): the integers x = lo, lo + 1, ... with |x - c| <= half plus
+    the float padding PAD * (spread + half + 1), and the running sums cum of
+    their weights exp(-a (x - c)^2). spread is the magnitude of the terms c
+    was summed from (0 for a fixed centre)."""
+    pad = PAD * (spread + half + 1.0)
+    lo = math.ceil(c - half - pad)
+    hi = math.floor(c + half + pad)
+    return lo, list(accumulate(math.exp(-a * (x - c) ** 2) for x in range(lo, hi + 1)))
+
+
+def _klein_draw(levels, cols, bound: int, rng: random.Random):
     """(y, point): a nearest-plane draw y (coordinates in the reduced basis)
     with ||point||^2 <= bound exactly, point = y @ kb.rows (integers over
-    kb.den).
+    kb.den) taken against cols, the columns of kb.rows.
 
     From the last Gram-Schmidt vector down, level i draws y_i from the 1-D
-    discrete Gaussian exp(-weights_at[i] (y - c_i)^2), weights_at[i] =
-    pi ||b~_i||^2 / sigma^2, c_i = -sum_{j>i} mu_ji y_j, restricted to
-    |y - c_i| <= halves[i] = 3 sigma / ||b~_i||, by one uniform and an inverse
-    CDF (Klein, SODA 2000). A ball point has |y_i - c_i| ||b~_i|| <= ||point||
-    at every level, so every point of the ball of radius 3 sigma lies in these
-    windows; the float window is widened by PAD times the magnitude of its
-    terms, far above its rounding error, so none is lost to rounding. The draw
-    is kept only if the exact integer norm is within the bound, else a fresh
-    draw starts, at most MAX_REJECTIONS times in a row.
+    discrete Gaussian exp(-a_i (y - c_i)^2), a_i = pi ||b~_i||^2 / sigma^2,
+    c_i = -sum_{j>i} mu_ji y_j, restricted to |y - c_i| <= half_i =
+    3 sigma / ||b~_i||, by one uniform and an inverse CDF (Klein, SODA 2000).
+    levels[i] = (a_i, half_i, kb.mu[i], window): a level whose mu row is zero
+    has c_i = 0 whatever y is, and its _window comes ready; the others are
+    built per draw.
+    A ball point has |y_i - c_i| ||b~_i|| <= ||point|| at every level, so
+    every point of the ball of radius 3 sigma lies in these windows; the float
+    window is widened by PAD times the magnitude of its terms, far above its
+    rounding error, so none is lost to rounding. The draw is kept only if the
+    exact integer norm is within the bound, else a fresh draw starts, at most
+    MAX_REJECTIONS times in a row.
     """
-    m = len(kb.rows)
+    m = len(levels)
     for _ in range(MAX_REJECTIONS):
         y = [0] * m
         for i in reversed(range(m)):
-            terms = [mu * x for mu, x in zip(kb.mu[i], y[i + 1:])]
-            c = -sum(terms)
-            half = halves[i]
-            pad = PAD * (sum(map(abs, terms)) + half + 1.0)
-            lo = math.ceil(c - half - pad)
-            hi = math.floor(c + half + pad)
-            a = weights_at[i]
-            cum = list(accumulate(math.exp(-a * (x - c) ** 2) for x in range(lo, hi + 1)))
+            a, half, mu, window = levels[i]
+            if window is None:
+                terms = [u * x for u, x in zip(mu, y[i + 1:])]
+                window = _window(a, -sum(terms), half, sum(map(abs, terms)))
+            lo, cum = window
             if not cum:
                 break
             y[i] = lo + bisect_left(cum, rng.random() * cum[-1])
         else:
-            point = [sum(x * r for x, r in zip(y, col)) for col in zip(*kb.rows)]
-            if sum(x * x for x in point) <= bound:
+            point = [sum(map(mul, y, col)) for col in cols]
+            if sum(map(mul, point, point)) <= bound:
                 return y, point
     raise ConfigurationError(
         f"nearest-plane draws left the 3 sigma ball {MAX_REJECTIONS} times in a "
@@ -275,8 +287,12 @@ def sample_dual(
             f"sigma is too wide for this basis: a nearest-plane level spans "
             f"more than {MAX_WINDOW} integers"
         )
-    weights_at = [math.pi * float(t) for t in ratios]
-    halves = [3.0 / math.sqrt(float(t)) for t in ratios]
+    # a level with a zero mu row is centred at 0 in every draw: its window
+    # is built once here, as the same _window a draw would build
+    levels = []
+    for t, mu in zip(ratios, kb.mu):
+        a, half = math.pi * float(t), 3.0 / math.sqrt(float(t))
+        levels.append((a, half, mu, None if any(mu) else _window(a, 0, half, 0)))
     radius_sq = 9 * cfg.sigma * cfg.sigma * kb.den * kb.den
     bound = radius_sq.numerator // radius_sq.denominator
     if cfg.sigma > _FLOAT_LIMIT:
@@ -295,12 +311,14 @@ def sample_dual(
         noise_radius = 0.999 * float(lam_lo) * float(cfg.delta)
 
     scale = 1 << _check_exponent(precision_bits)
+    cols, transform_cols = list(zip(*kb.rows)), list(zip(*kb.transform))
+    eta = float(cfg.eta)
     rng = random.Random(cfg.seed)
     out = []
     for _ in range(count):
-        y, point = _klein_draw(kb, weights_at, halves, bound, rng)
-        coords = tuple(sum(x * u for x, u in zip(y, col)) for col in zip(*kb.transform))
-        failed = rng.random() < float(cfg.eta)
+        y, point = _klein_draw(levels, cols, bound, rng)
+        coords = tuple(sum(map(mul, y, col)) for col in transform_cols)
+        failed = rng.random() < eta
         if failed:
             exact, noise = [0] * m, [rng.uniform(-box, box) for _ in range(m)]
         else:

@@ -314,7 +314,9 @@ class BasisMatrix:
 
     @classmethod
     def identity(cls, m: int) -> "BasisMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(m)] for i in range(m)])
+        if m < 1:
+            raise ValueError("basis matrix must be square and nonempty")
+        return cls._with_det(1, [[int(i == j) for j in range(m)] for i in range(m)], 1)
 
     @classmethod
     def diagonal(cls, entries) -> "BasisMatrix":

@@ -124,11 +124,21 @@ def _draw(problem: "RecoveryProblem", k: Optional[int], samples) -> Sequence:
 
 class RecoveryResult(Record):
     b_l: BasisMatrix
+    b_m: BasisMatrix  # the problem's own, shared, not a copy
     index: int
     samples_used: int
     invariant_factors: tuple
-    w_hnf: tuple  # basis of L* in M*-coordinates, row HNF
     failed_samples: int
+
+    @property
+    def w_hnf(self) -> tuple:
+        """The basis W of L* in M*-coordinates, a row HNF, built on each
+        access and never kept: B_L = (W^t)^-1 B_M, so B_L B_M^-1 = W^-t,
+        whose dual is W. Its entries have denominators dividing the index,
+        so that inverse is cheap, and b_m keeps its own inverse once taken."""
+        w = self.b_l.matmul(self.b_m.inverse_as_matrix()).dual()
+        assert w.den == 1
+        return w.ints
 
 
 def recover_with_sublattice(
@@ -168,18 +178,23 @@ def recover_with_sublattice(
         )
     # L* = W . M* in coordinates, so B_L* = W B_M* and B_L = (W^t)^-1 B_M
     b_l = w.dual().matmul(problem.b_m)
-    return RecoveryResult(b_l, index, k, factors, tuple(map(tuple, h)), failed)
+    return RecoveryResult(b_l, problem.b_m, index, k, factors, failed)
 
 
 def recover_with_retries(
     problem: RecoveryProblem, k: int = None, attempts: int = 3
 ) -> RecoveryResult:
-    """recover_with_sublattice, reseeding the sampler on rank failures."""
+    """recover_with_sublattice, reseeding the sampler on rank failures. The
+    first attempt runs on the problem itself; only a retry builds a reseeded
+    copy, which is validated again."""
     last = None
     for attempt in range(attempts):
-        cfg = problem.sampler.replace(seed=problem.sampler.seed + 1009 * attempt)
+        trial = problem
+        if attempt:
+            cfg = problem.sampler.replace(seed=problem.sampler.seed + 1009 * attempt)
+            trial = problem.replace(sampler=cfg)
         try:
-            return recover_with_sublattice(problem.replace(sampler=cfg), k=k)
+            return recover_with_sublattice(trial, k=k)
         except InsufficientSamplesError as exc:
             last = exc
     raise last
@@ -374,15 +389,16 @@ def make_planted_problem(
     if dim < 1 or index < 1:
         raise ConfigurationError("dim and index must be positive")
     rng = random.Random(seed)
-    rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    rows[dim - 1][dim - 1] = Fraction(index)
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    rows[dim - 1][dim - 1] = index
     for _ in range(3 * dim):
         i, j = rng.randrange(dim), rng.randrange(dim)
         if i == j:
             continue
         c = rng.choice([-2, -1, 1, 2])
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    b_m = BasisMatrix(rows)
+    # adding a multiple of one row to another keeps det = index
+    b_m = BasisMatrix._with_det(1, rows, index)
     b_l = BasisMatrix.identity(dim)
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     delta = min(Fraction(1, 4), 1 / (4 * bm_two))  # lambda_1(L*) = 1 here

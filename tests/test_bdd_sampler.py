@@ -1,8 +1,10 @@
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +25,7 @@ from unitlat.bdd_sampler import (
     verify_sampler_contract,
 )
 from unitlat.enumeration import lattice_points_in_ball, shortest_vector_sq
-from unitlat.recovery import build_cyclotomic_problem
+from unitlat.recovery import build_cyclotomic_problem, make_planted_problem
 from unitlat.lattice_core import (
     BasisMatrix,
     ConfigurationError,
@@ -33,6 +35,7 @@ from unitlat.lattice_core import (
     norm_sq,
     op_norm_two_sq,
     round_half_away,
+    round_ratio,
     sqrt_lower,
 )
 
@@ -110,6 +113,71 @@ def reference_sample_dual(b_l_star, cfg, count, precision_bits=64):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Reference nearest-plane sampler: the draw as it was before the windows of
+# fixed-centre levels were built once per sample_dual call. It rebuilds every
+# level's window for every draw; sample_dual must give its stream sample for
+# sample. The range checks of sample_dual are left out.
+# ---------------------------------------------------------------------------
+
+
+def reference_klein_draw(kb, weights_at, halves, bound, rng):
+    m = len(kb.rows)
+    for _ in range(bdd_sampler.MAX_REJECTIONS):
+        y = [0] * m
+        for i in reversed(range(m)):
+            terms = [mu * x for mu, x in zip(kb.mu[i], y[i + 1:])]
+            c = -sum(terms)
+            half = halves[i]
+            pad = bdd_sampler.PAD * (sum(map(abs, terms)) + half + 1.0)
+            lo = math.ceil(c - half - pad)
+            hi = math.floor(c + half + pad)
+            a = weights_at[i]
+            cum = list(accumulate(math.exp(-a * (x - c) ** 2) for x in range(lo, hi + 1)))
+            if not cum:
+                break
+            y[i] = lo + bisect_left(cum, rng.random() * cum[-1])
+        else:
+            point = [sum(x * r for x, r in zip(y, col)) for col in zip(*kb.rows)]
+            if sum(x * x for x in point) <= bound:
+                return y, point
+    raise ConfigurationError("the reference draw left the ball too often")
+
+
+def reference_klein_sample_dual(b_l_star, cfg, count, precision_bits=64):
+    m = b_l_star.m
+    kb = klein_basis(b_l_star)
+    ratios = [min(g / (cfg.sigma * cfg.sigma), bdd_sampler._RATIO_CAP) for g in kb.gs_norm_sq]
+    weights_at = [math.pi * float(t) for t in ratios]
+    halves = [3.0 / math.sqrt(float(t)) for t in ratios]
+    radius_sq = 9 * cfg.sigma * cfg.sigma * kb.den * kb.den
+    bound = radius_sq.numerator // radius_sq.denominator
+    box = 4.0 * (3.0 * float(cfg.sigma) + 1.0)
+    noise_radius = 0.0
+    if cfg.delta:
+        noise_radius = 0.999 * float(sqrt_lower(kb.lam_sq_bracket[0])) * float(cfg.delta)
+    scale = 1 << precision_bits
+    rng = random.Random(cfg.seed)
+    out = []
+    for _ in range(count):
+        y, point = reference_klein_draw(kb, weights_at, halves, bound, rng)
+        coords = tuple(sum(x * u for x, u in zip(y, col)) for col in zip(*kb.transform))
+        failed = rng.random() < float(cfg.eta)
+        if failed:
+            exact, noise = [0] * m, [rng.uniform(-box, box) for _ in range(m)]
+        else:
+            exact, noise = point, [0.0] * m
+            if noise_radius > 0:
+                gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
+                gn = math.sqrt(sum(g * g for g in gauss)) or 1.0
+                rad = noise_radius * rng.random() ** (1.0 / m)
+                noise = [rad * g / gn for g in gauss]
+        mants = [round_ratio((x * d + n * kb.den) * scale, kb.den * d)
+                 for x, (n, d) in zip(exact, map(float.as_integer_ratio, noise))]
+        out.append(SampleRecord(FixedPointVector(tuple(mants), precision_bits), coords, failed))
+    return out
+
+
 def chi_square_bound(df, z=4.75):
     """Wilson-Hilferty upper quantile of chi^2_df at the normal quantile z
     (z = 4.75: tail probability about 1e-6)."""
@@ -184,6 +252,37 @@ def babai_cases(draw):
         return BasisMatrix(rows), y, ties
     except RankError:
         assume(False)
+
+
+@st.composite
+def klein_cases(draw):
+    """(B, cfg, precision_bits): a random rational basis of dim 1-8, general
+    (non-symmetric), diagonal or block-diagonal, so that levels below the top
+    have zero mu rows too, and a configuration with delta > 0, eta > 0 and
+    sigma a half, one or two times the GPV width."""
+    m = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(("general", "diagonal", "blocks")))
+    entry = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=m, max_size=m))
+    cut = draw(st.integers(1, max(m - 1, 1)))
+    for i in range(m):
+        for j in range(m):
+            if (shape == "diagonal" and i != j) or (shape == "blocks" and (i < cut) != (j < cut)):
+                rows[i][j] = F(0)
+    if shape != "diagonal":
+        assume(m == 1 or any(rows[i][j] != rows[j][i] for i in range(m) for j in range(i)))
+    try:
+        b = BasisMatrix(rows)
+    except RankError:
+        assume(False)
+    cfg = SamplerConfig(
+        delta=draw(st.sampled_from((F(1, 8), F(1, 4), F(2, 5)))),
+        r=1,
+        eta=draw(st.sampled_from((F(1, 10), F(1, 4), F(9, 20)))),
+        sigma=gpv_sigma(b) * draw(st.sampled_from((F(1, 2), F(1), F(2)))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return b, cfg, draw(st.sampled_from((53, 64, 96)))
 
 
 class TestConfig:
@@ -395,6 +494,33 @@ class TestSampler:
         assert digest.hexdigest() == (
             "0afb16997e37814c3a340fdfdb102193023de761d8d59176730bb412081c7dd5"
         )
+
+    def test_pinned_stream_planted(self):
+        """The streams of planted problems of dims 2-6, with noise and
+        failures, are fixed. On L* = Z^dim every level's mu row is zero, so
+        every window comes ready: pinned before those windows were built once
+        per call instead of once per draw."""
+        streams = []
+        for dim in range(2, 7):
+            p = make_planted_problem(dim, 2 * dim - 1, seed=dim, eta=F(1, 10))
+            samples = sample_dual(p.hidden_dual, p.sampler, 12 * dim, p.precision_bits)
+            streams.append(dump_samples(samples))
+        digest = hashlib.sha256("\n".join(streams).encode())
+        assert digest.hexdigest() == (
+            "2415ddcdfcc0453599054529e352defe9b92ffb9361cae921da056fd298ef136"
+        )
+
+    @given(klein_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_draw_reference(self, case):
+        """sample_dual gives the reference's stream, in which every draw
+        rebuilds every window, sample for sample."""
+        b, cfg, bits = case
+        try:
+            samples = sample_dual(b, cfg, 30, bits)
+        except ConfigurationError:
+            assume(False)
+        assert samples == reference_klein_sample_dual(b, cfg, 30, bits)
 
     def test_reference_reproduces_former_stream(self):
         """The reference in this file is the former enumeration sampler

@@ -342,6 +342,16 @@ class TestBasisMatrixStorage:
             assert BasisMatrix(c.rows) == c
             assert all(Fraction(x, c.den) == y for r, v in zip(c.ints, c.rows) for x, y in zip(r, v))
 
+    def test_identity_is_the_eliminated_identity(self):
+        """identity(m) takes its det from how it is made and equals the
+        matrix __init__ eliminates; an empty identity is rejected as before."""
+        for m in range(1, 7):
+            one = BasisMatrix.identity(m)
+            fresh = BasisMatrix(one.rows)
+            assert (one, one._det) == (fresh, fresh._det)
+        with pytest.raises(ValueError):
+            BasisMatrix.identity(0)
+
     @given(nonsingular_rows(), st.integers(-6, 6).filter(bool))
     @settings(max_examples=150, deadline=None)
     def test_equal_matrices_compare_and_hash_equal(self, rows, k):

@@ -6,13 +6,20 @@ import pytest
 from test_bdd_sampler import reference_sample_dual
 from test_lattice_core import fractions_in
 from unitlat import recovery
-from unitlat.bdd_sampler import SamplerConfig, gpv_sigma, sample_dual, verify_sampler_contract
+from unitlat.bdd_sampler import (
+    SamplerConfig,
+    babai_bdd,
+    gpv_sigma,
+    sample_dual,
+    verify_sampler_contract,
+)
 from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import BasisMatrix, ConfigurationError, sqrt_upper
 from unitlat.recovery import (
     ContractViolationError,
     InsufficientSamplesError,
     RecoveryProblem,
+    RecoveryResult,
     build_cyclotomic_problem,
     compute_k,
     cyclotomic_log_basis,
@@ -24,7 +31,7 @@ from unitlat.recovery import (
     recover_with_sublattice,
     regulator_from_basis,
 )
-from unitlat.reduction import hnf_rational
+from unitlat.reduction import hnf, hnf_rational
 
 F = Fraction
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -96,14 +103,40 @@ class TestPlantedRecovery:
     def test_result_keeps_no_fraction(self):
         """A kept RecoveryResult holds integers only: b_l stores integer rows
         over one denominator, and reading its Fraction rows (as the
-        benchmark's oracle does) caches nothing on it."""
+        benchmark's oracle does) caches nothing on it. Its b_m is the
+        problem's own, and W is not stored: w_hnf is built on each access,
+        equals the HNF of the samples' Babai rows and leaves nothing cached."""
+        assert "w_hnf" not in RecoveryResult._fields
         for dim, index in ((2, 1), (4, 6), (6, 12)):
-            r = recover_with_retries(make_planted_problem(dim, index, seed=5), k=12 * dim)
+            problem = make_planted_problem(dim, index, seed=5)
+            r = recover_with_retries(problem, k=12 * dim)
             assert r.index == index
-            fields = (r.b_l, r.w_hnf, r.invariant_factors, r.index, r.samples_used)
+            assert r.b_m is problem.b_m
+            fields = (r.b_l, r.b_m, r.w_hnf, r.invariant_factors, r.index, r.samples_used)
             assert fractions_in(fields) == 0
             assert all(x.denominator == 1 for row in r.b_l.rows for x in row)
             assert fractions_in(fields) == 0
+            assert "w_hnf" not in vars(r) and r.b_l._dual is None
+            samples = sample_dual(problem.hidden_dual, problem.sampler, 12 * dim)
+            h = hnf([list(babai_bdd(s.y_tilde, problem.b_m)) for s in samples])
+            assert r.w_hnf == tuple(map(tuple, h))
+
+    def test_first_attempt_runs_on_the_problem_itself(self, monkeypatch):
+        """Only a retry builds a reseeded copy of the problem."""
+        problem = make_planted_problem(3, 2, seed=4)
+        tried = []
+
+        def fails_once(p, k):
+            tried.append(p)
+            if len(tried) == 1:
+                raise InsufficientSamplesError("rank")
+            return p
+
+        monkeypatch.setattr(recovery, "recover_with_sublattice", fails_once)
+        assert recover_with_retries(problem, k=6) is tried[1]
+        assert tried[0] is problem
+        assert tried[1].sampler == problem.sampler.replace(seed=4 + 1009)
+        assert tried[1].replace(sampler=problem.sampler) == problem
 
     def test_hypothesis_checked_at_construction(self):
         p = make_planted_problem(2, 3, seed=1)
