@@ -117,6 +117,24 @@ def _dump(args, obj: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _read_config(path: str, cfg: dict) -> tuple:
+    """(mode, instance) of a recover config. It holds mode, instance and seed,
+    and the instance conductor, or dim and an optional index; any other key
+    is an input error, not ignored."""
+    mode, inst = cfg.get("mode", "sublattice"), cfg.get("instance")
+    if mode not in ("sublattice", "baseline"):
+        raise ConfigurationError(f"{path}: mode must be 'sublattice' or 'baseline', not {mode!r}")
+    if not isinstance(inst, dict):
+        raise ConfigurationError(f"{path}: instance must be a JSON object")
+    if "conductor" not in inst and "dim" not in inst:
+        raise ConfigurationError(f"{path}: instance must set conductor or dim")
+    shape = {"conductor"} if "conductor" in inst else {"dim", "index"}
+    unread = sorted(set(cfg) - {"mode", "instance", "seed"}) + sorted(set(inst) - shape)
+    if unread:
+        raise ConfigurationError(f"{path}: keys not read: {clip(unread)}")
+    return mode, inst
+
+
 def cmd_recover(args) -> int:
     if args.synthetic:
         _reject_unread(args, "is not read with --synthetic", "precision_bits")
@@ -125,14 +143,7 @@ def cmd_recover(args) -> int:
     if args.config:
         _reject_unread(args, "is not read with --config (its mode key decides)", "baseline")
         cfg = _load_json_object(args.config)
-        mode = cfg.get("mode", "sublattice")
-        if mode not in ("sublattice", "baseline"):
-            raise ConfigurationError(
-                f"{args.config}: mode must be 'sublattice' or 'baseline', not {mode!r}"
-            )
-        inst = cfg["instance"]
-        if not isinstance(inst, dict):
-            raise ConfigurationError(f"{args.config}: instance must be a JSON object")
+        mode, inst = _read_config(args.config, cfg)
         if "conductor" not in inst:
             _reject_unread(args, "is not read with a planted config instance", "precision_bits")
         if "seed" in cfg:

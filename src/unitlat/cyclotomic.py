@@ -316,21 +316,6 @@ def orbit_unit_exponents(field: CyclotomicField, precision_bits: int = 128) -> L
     return [{**dict(zip(reps, coeffs)), 1: -sum(coeffs)} for coeffs in u]
 
 
-def basis_norm_profile(field: CyclotomicField, precision_bits: int = 128) -> dict:
-    """Largest generator log norm and the row-max 2-norm bound for B_M."""
-    gens = cyclotomic_unit_generators(field, precision_bits)
-    norms = [math.sqrt(sum(x * x for x in g.log.to_floats())) for g in gens]
-    max_norm = max(norms) if norms else 0.0
-    growth = max_norm / math.sqrt(field.m * math.log(field.m))
-    return {
-        "m": field.m,
-        "max_log_norm": max_norm,
-        "b_m_two_rowmax_bound": max_norm,
-        "growth_ratio": growth,
-        "generators": len(gens),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Alternative period function for totally real fields
 # ---------------------------------------------------------------------------

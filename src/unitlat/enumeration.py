@@ -60,7 +60,7 @@ def _walk(d: list, lam: list, bound: int) -> Iterator[tuple]:
 
 def coords_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> Iterator[tuple]:
     """Yield (x, n) for every integer x with ||x @ B||^2 <= radius_sq, where
-    n = D^2 ||x @ B||^2 is an exact integer and D = common_denominator(basis).
+    n = D^2 ||x @ B||^2 is an exact integer and D = basis.den.
 
     Includes the zero vector. Order: level m-1 first and x_i ascending at every
     level, i.e. ascending in the reversed tuple (x_{m-1}, ..., x_0). The walk
@@ -77,7 +77,7 @@ def coords_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> Iterator[tuple]:
 def lattice_points_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> list:
     """All (coords, n) pairs of coords_in_ball, in its order: the lattice
     points of norm_sq <= radius_sq, zero included, with their exact squared
-    norms n / common_denominator(basis)**2."""
+    norms n / basis.den**2."""
     return list(coords_in_ball(basis, radius_sq))
 
 

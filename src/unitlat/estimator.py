@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .cyclotomic import euler_phi
-from .lattice_core import ConfigurationError, Record
+from .lattice_core import ConfigurationError, Record, clip
 
 EPSILON = Fraction(243, 1024)  # failure bound of the five-fold oracle tensor
 CONSTANT_CONVENTION = "all asymptotic constants set to 1"
@@ -46,6 +46,8 @@ class FieldProfile(Record):
             raise ConfigurationError("unit rank must be n1 + n2 - 1")
         if not (self.n / 2 - 1 <= self.m <= self.n - 1):
             raise ConfigurationError("unit rank outside [n/2 - 1, n - 1]")
+        if self.d_log2 < 0:
+            raise ConfigurationError(f"log2 |discriminant| must be >= 0, got {clip(self.d_log2)}")
 
 
 def totally_real_profile(n: int, d_log2) -> FieldProfile:
@@ -258,22 +260,19 @@ def qubit_count_cyclotomic(conductor: int) -> ResourceEstimate:
     """Structured count for conductor-m cyclotomic fields: Q ~ m log m per
     register (the known unit sublattice caps the precision at ~log m bits per
     dimension), total Q * m ~ m^2 log m."""
-    m = conductor
-    if m < 3:
-        raise ConfigurationError("conductor must be at least 3")
-    d_log2 = Fraction(m - 2) * _log2f(m)
-    log_m = _log2f(m)
-    q = Fraction(m) * log_m
+    profile = cyclotomic_generic_profile(conductor)
+    m = profile.m
+    q = Fraction(m) * _log2f(m)
     terms = (Fraction(0),) * 5 + (q * m,)
     return ResourceEstimate(
         model="cyclotomic",
         m=m,
         n=euler_phi(m),
-        d_log2=d_log2,
+        d_log2=profile.d_log2,
         q=q,
         k=0,
         terms=terms,
-        lip_log2=oracle_params(cyclotomic_generic_profile(m))["lip_log2"],
+        lip_log2=oracle_params(profile)["lip_log2"],
         leading_term=q * m,
     )
 

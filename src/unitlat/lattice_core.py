@@ -328,10 +328,6 @@ class BasisMatrix:
         """det B = det(ints) / den^m."""
         return Fraction(self._det, self.den**self.m)
 
-    def inverse_rows(self) -> tuple:
-        """The rows of B^-1 as Fractions: the transpose of the dual's."""
-        return tuple(zip(*self.dual().rows))
-
     def transpose(self) -> "BasisMatrix":
         return BasisMatrix._with_det(self.den, zip(*self.ints), self._det)
 
@@ -394,11 +390,6 @@ def integer_rows(rows) -> tuple:
     there are none) and N = D rows, as lists of ints."""
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-
-
-def common_denominator(basis: BasisMatrix) -> int:
-    """Least common denominator D of the entries: D B is an integer matrix."""
-    return basis.den
 
 
 def _lowest_rows(den: int, ints) -> tuple:

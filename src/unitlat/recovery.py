@@ -38,7 +38,6 @@ from .lattice_core import (
     Record,
     UnitlatError,
     norm_sq,
-    op_norm,
     op_norm_two_sq,
     sqrt_lower,
     sqrt_upper,
@@ -64,8 +63,7 @@ class RecoveryProblem(Record):
     det_l_bound: upper bound on det L (sample-count formula).
     lambda1_sq_dual: (lo, hi) with lo <= lambda_1(L*)^2 <= hi. The Babai
     hypothesis check delta * lambda_1(L*) < 1 / (2 ||B_M||_2) reads hi; the
-    baseline's mu and precision_gap_report, which need lambda_1 from below,
-    read lo.
+    baseline's mu, which needs lambda_1 from below, reads lo.
     dual_det_bound: upper bound on det L* (baseline pipeline only).
     """
 
@@ -258,37 +256,6 @@ def recover_baseline(
         k,
         input_bits,
     )
-
-
-def precision_gap_report(problem: RecoveryProblem, k: int = None) -> dict:
-    """Bits of sampler precision each pipeline demands, and their ratio.
-
-    Baseline: the admissible noise radius is
-    (lambda_1*)^3 / (det L * 2^(mk) * ||B_L*||_inf^m) (growth constant 1).
-    Sublattice: the admissible radius is 1 / (2 ||B_M||_2).
-    """
-    m = problem.b_m.m
-    k = _sample_count(problem, k)
-    lam = float(sqrt_lower(problem.lambda1_sq_dual[0]))
-    det_l = float(problem.det_l_bound)
-    b_dual_inf = float(op_norm(problem.hidden_dual))
-    q_baseline = math.ceil(
-        m * k
-        + m * math.log2(max(b_dual_inf, 1e-300))
-        + math.log2(max(det_l, 1e-300))
-        - 3 * math.log2(max(lam, 1e-300))
-    )
-    bm_two = float(sqrt_upper(op_norm_two_sq(problem.b_m)))
-    q_sublattice = math.ceil(1 + math.log2(max(bm_two, 1e-300)))
-    q_baseline = max(q_baseline, 1)
-    q_sublattice = max(q_sublattice, 1)
-    return {
-        "k": k,
-        "q_baseline": q_baseline,
-        "q_sublattice": q_sublattice,
-        "ratio": q_baseline / q_sublattice,
-        "growth_constant": 1,
-    }
 
 
 def lattices_equal(a: BasisMatrix, b: BasisMatrix) -> bool:

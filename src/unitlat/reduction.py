@@ -59,15 +59,11 @@ class OKMatrix(Record):
     def nrows(self) -> int:
         return len(self.rows)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
     def underlying_z_rows(self) -> list:
         """Z-generators of the module as rational row vectors.
 
         Each ring row b contributes b and omega*b, written in the per-coordinate
-        (1, omega) basis, so a rank-r module yields 2r rows of length 2*ncols.
+        (1, omega) basis, so a rank-r module yields 2r rows of twice the row length.
         """
         omega = RingElement(0, 1, self.ring.kind)
         out = []
@@ -133,6 +129,16 @@ def _gs_row(b: list, ortho: list, i: int):
         mu_row.append(c)
         v = [x - c * y for x, y in zip(v, ortho[j])]
     return v, mu_row
+
+
+def _gram_schmidt(rows: list) -> tuple:
+    """(ortho, mu): exact Gram-Schmidt vectors and mu[i][j], j < i, of the rows."""
+    ortho, mu = [], []
+    for i in range(len(rows)):
+        v, mu_row = _gs_row(rows, ortho, i)
+        ortho.append(v)
+        mu.append(mu_row)
+    return ortho, mu
 
 
 def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
@@ -230,16 +236,6 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
     return b, u, d, lam
 
 
-def _lll_rational(rows: Sequence[Sequence[Fraction]], delta: Fraction):
-    """_lll_int on rational rows: scaled to integers by their common
-    denominator D, reduced, divided back by D. mu and the Lovasz test are
-    invariant under the scaling, so the decisions and the transform are those
-    of the unscaled rows."""
-    den, ints = integer_rows(rows)
-    red, u, _, _ = _lll_int(ints, delta)
-    return [[Fraction(x, den) for x in row] for row in red], u
-
-
 def lll_reduce(basis, delta=DEFAULT_DELTA):
     """LLL-reduce a BasisMatrix (over Z) or an OKMatrix (over its ring);
     returns (reduced, transform) of the same flavour. transform @ input ==
@@ -267,14 +263,18 @@ def lll_reduce_gram(basis: BasisMatrix) -> tuple:
 def lll_reduce_rows(rows, delta=DEFAULT_DELTA):
     """LLL on raw ring-element rows (not necessarily square) or an OKMatrix's
     rows, over their ring as _ring_rows reads it: the integer core over Z,
-    _lll_rows otherwise. Same contract as lll_reduce."""
+    _lll_rows otherwise. Same contract as lll_reduce. Over Z the rows are
+    scaled by their common denominator D and the result divided back by D:
+    mu and the Lovasz test do not see the scaling."""
     rows, ring = _ring_rows(rows)
     delta = _as_delta(delta)
     if ring.kind != INTEGERS.kind:
         red, u = _lll_rows(rows, delta, ring)
         return [tuple(r) for r in red], [tuple(r) for r in u]
-    red, u = _lll_rational([[e.a for e in row] for row in rows], delta)
-    return [tuple(map(RingElement, r)) for r in red], [tuple(map(RingElement, r)) for r in u]
+    den, ints = integer_rows([[e.a for e in row] for row in rows])
+    red, u, _, _ = _lll_int(ints, delta)
+    red = [tuple(RingElement(Fraction(x, den)) for x in r) for r in red]
+    return red, [tuple(map(RingElement, r)) for r in u]
 
 
 def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
@@ -286,11 +286,7 @@ def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
     """
     delta = _as_delta(delta)
     b, ring = _ring_rows(basis)
-    ortho, mu = [], []
-    for i in range(len(b)):
-        v, mu_row = _gs_row(b, ortho, i)
-        ortho.append(v)
-        mu.append(mu_row)
+    ortho, mu = _gram_schmidt(b)
     mk = ring.euclidean_minimum
     for i in range(len(b)):
         for j in range(i):
@@ -314,10 +310,7 @@ def check_reduced_bound(basis, delta=DEFAULT_DELTA) -> bool:
     delta = _as_delta(delta)
     rows, ring = _ring_rows(basis)
     m = len(rows)
-    ortho = []
-    for i in range(m):
-        v, _ = _gs_row(rows, ortho, i)
-        ortho.append(v)
+    ortho, _ = _gram_schmidt(rows)
     det_sq = Fraction(1)
     for v in ortho:
         det_sq *= hnorm_sq(v)

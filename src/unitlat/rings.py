@@ -116,9 +116,6 @@ class RingElement:
         c = self.conj()
         return RingElement(c.a / n, c.b / n, self.kind)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
-
     def round(self) -> "RingElement":
         """Nearest ring integer.
 

@@ -31,7 +31,6 @@ from unitlat.lattice_core import (
     ConfigurationError,
     FixedPointVector,
     RankError,
-    common_denominator,
     norm_sq,
     op_norm_two_sq,
     round_half_away,
@@ -63,7 +62,7 @@ PINNED_CFG = SamplerConfig(delta=F(1, 8), r=6, eta=F(1, 10), sigma=F(3, 2), seed
 def reference_support(b_l_star, sigma):
     """(coords, cdf, lambda_1^2) of the truncated Gaussian over the 3 sigma ball."""
     points = lattice_points_in_ball(b_l_star, 9 * sigma * sigma)
-    scale = common_denominator(b_l_star) ** 2
+    scale = b_l_star.den ** 2
     sigma_f = float(sigma)
     # n / scale is the correctly rounded float of the exact squared norm
     weights = [math.exp(-math.pi * (n / scale) / (sigma_f * sigma_f)) for _, n in points]
@@ -594,7 +593,7 @@ class TestNearestPlaneAgainstReference:
         sigma = gpv_sigma(b)
         coords, cum, _ = reference_support(b, sigma)
         probs = [c - p for c, p in zip(cum, [0.0] + cum[:-1])]
-        scale = common_denominator(b) ** 2
+        scale = b.den ** 2
         norms = {x: n for x, n in lattice_points_in_ball(b, 9 * sigma * sigma)}
         # norm deciles of the reference distribution
         order = sorted(range(len(coords)), key=lambda i: norms[coords[i]])

@@ -314,6 +314,11 @@ class TestExitCodes:
         "seeded.json": {"seed": 3, "instance": {"dim": 2}},
         "planted.json": {"instance": {"dim": 2}},
         "instance-array.json": {"instance": [3]},
+        "config-unread-keys.json": {"mode": "sublattice", "seed": 1, "k": 999, "precision_bits": 7,
+                                    "instance": {"dim": 3, "index": 2, "conductor": 5}},
+        "conductor-and-dim.json": {"instance": {"conductor": 5, "dim": 3}},
+        "instance-typo.json": {"instance": {"dim": 3, "indx": 2}},
+        "instance-empty.json": {"instance": {}},
         "dict-entries.json": {"m": 2, "rows": [[{"a": "1"}, "0"], ["0", "1"]]},
         "zero-denominator.json": {"ring": "gaussian", "rows": [[{"a": "1/0", "b": "0",
                                                                  "ring": "gaussian"}]]},
@@ -371,6 +376,14 @@ class TestExitCodes:
          "usage error: --seed is not read with a config that sets seed"),
         ("config-instance-array", ["recover", "--config", "instance-array.json"], 1,
          "error: instance-array.json: instance must be a JSON object"),
+        ("config-unread-keys", ["recover", "--config", "config-unread-keys.json"], 1,
+         "error: config-unread-keys.json: keys not read: ['k', 'precision_bits', 'dim', 'index']"),
+        ("config-conductor-and-dim", ["recover", "--config", "conductor-and-dim.json"], 1,
+         "error: conductor-and-dim.json: keys not read: ['dim']"),
+        ("config-instance-typo", ["recover", "--config", "instance-typo.json"], 1,
+         "error: instance-typo.json: keys not read: ['indx']"),
+        ("config-instance-empty", ["recover", "--config", "instance-empty.json"], 1,
+         "error: instance-empty.json: instance must set conductor or dim"),
         ("planted-config-precision",
          ["recover", "--config", "planted.json", "--precision-bits", "999"], 1,
          "usage error: --precision-bits is not read with a planted config instance"),
@@ -387,6 +400,10 @@ class TestExitCodes:
         ("reduce-delta-huge", ["reduce", "--in", "id2.json", "--delta", "1e400"], 1,
          "error: delta must lie in (1/4, 1) for ring integers, got "
          + "1" + "0" * 39 + "... (401 characters)\n"),
+        ("estimate-logD-negative", ["estimate", "--m", "3", "--logD", "-1000"], 1,
+         "error: log2 |discriminant| must be >= 0, got -1000"),
+        ("estimate-kummer-negative", ["estimate", "--kummer", "2", "-5"], 1,
+         "error: log2 |discriminant| must be >= 0, got -5"),
         ("estimate-compare-conductor-0", ["estimate", "--cyclotomic", "0", "--compare"], 1,
          "error: conductor must be at least 3"),
         ("estimate-compare-conductor-negative",

@@ -11,7 +11,6 @@ from unitlat.buchmann_pohst import BPParams, bp_reduce, relation_norm_check
 from unitlat.cyclotomic import (
     CyclotomicField,
     alt_period_check,
-    basis_norm_profile,
     cyclotomic_unit_generators,
     euler_phi,
     factorize,
@@ -233,17 +232,6 @@ class TestRank:
         f = CyclotomicField(12)
         (vec,) = log_embedding([{6: 1, 4: -1}], f, 96)
         assert abs(sum(vec.to_floats())) > 0.1
-
-
-class TestNormProfile:
-    def test_growth_small(self):
-        for m in (5, 7, 8, 9, 12, 15, 16):
-            prof = basis_norm_profile(CyclotomicField(m), 64)
-            assert prof["growth_ratio"] <= 2.0
-
-    def test_m5_max_norm(self):
-        prof = basis_norm_profile(CyclotomicField(5), 96)
-        assert abs(prof["max_log_norm"] - math.sqrt(2) * math.log(GOLDEN)) < 1e-9
 
 
 class TestAltPeriodCheck:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from unitlat.enumeration import coords_in_ball, lattice_points_in_ball, shortest_vector_sq
-from unitlat.lattice_core import BasisMatrix, RankError, common_denominator, norm_sq
+from unitlat.lattice_core import BasisMatrix, RankError, norm_sq
 
 F = Fraction
 
@@ -51,7 +51,7 @@ def brute_force_points(basis, radius_sq):
 def assert_matches_brute_force(basis, radius_sq):
     got = list(coords_in_ball(basis, radius_sq))
     assert [x for x, _ in got] == brute_force_points(basis, radius_sq)
-    scale = common_denominator(basis) ** 2
+    scale = basis.den ** 2
     for x, n in got:
         assert F(n, scale) == norm_sq(basis.row_combination(x))
 
@@ -80,7 +80,7 @@ class TestEnumeration:
 
     def test_points_carry_correct_vectors(self):
         b = BasisMatrix([[F(2), F(1)], [F(0), F(3)]])
-        scale = common_denominator(b) ** 2
+        scale = b.den ** 2
         for coords, n in lattice_points_in_ball(b, F(30)):
             assert F(n, scale) == norm_sq(b.row_combination(coords)) <= 30
 

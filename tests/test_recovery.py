@@ -25,7 +25,6 @@ from unitlat.recovery import (
     cyclotomic_log_basis,
     lattices_equal,
     make_planted_problem,
-    precision_gap_report,
     recover_baseline,
     recover_with_retries,
     recover_with_sublattice,
@@ -193,6 +192,10 @@ class TestCyclotomicRecovery:
             build_cyclotomic_problem(3)
 
 
+def no_sampling(*args, **kwargs):
+    raise AssertionError("the infeasible path drew samples")
+
+
 class TestBaseline:
     def test_dim1_gcd_style(self):
         b_dual = BasisMatrix.diagonal([F(5)])
@@ -239,10 +242,6 @@ class TestBaseline:
         sample is drawn."""
         p = build_cyclotomic_problem(23, 128, seed=1)
         p = p.replace(precision_bits=90)
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("the infeasible path drew samples")
-
         monkeypatch.setattr(recovery, "sample_dual", no_sampling)
         res = recover_baseline(p)
         assert not res.feasible
@@ -253,10 +252,6 @@ class TestBaseline:
     def test_sampler_noise_makes_cyclotomic_baseline_infeasible(self, m, monkeypatch):
         """delta * lambda_1(L*) is near 1/4 here, so the samples carry at most
         2 bits whatever the mantissa width: no draw, an infeasibility report."""
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("the infeasible path drew samples")
-
         monkeypatch.setattr(recovery, "sample_dual", no_sampling)
         res = recover_baseline(build_cyclotomic_problem(m, 128, seed=0))
         assert not res.feasible and res.b_l_approx is None
@@ -306,30 +301,33 @@ class TestBaseline:
 
 
 class TestPrecisionGap:
-    def test_ordering_toy(self):
-        p = make_planted_problem(2, 2, seed=0)
-        rep = precision_gap_report(p, k=8)
-        assert rep["q_baseline"] > rep["q_sublattice"]
-        assert rep["ratio"] > 1
+    """The paper's precision gap, read off the formula the baseline runs
+    (BPParams.derive, as recover_baseline reports it): planted problems of
+    dim 2-6, index 2, seed 1, with k = 6 dim samples."""
 
-    def test_growth_with_dimension(self):
-        ratios = []
-        for dim in (2, 3, 4, 5):
-            p = make_planted_problem(dim, 2, seed=1)
-            ratios.append(precision_gap_report(p, k=6 * dim)["ratio"])
-        assert ratios == sorted(ratios)
+    DIMS = (2, 3, 4, 5, 6)
 
-    def test_degenerate_dim1(self):
-        b = BasisMatrix.identity(1)
-        cfg = SamplerConfig(delta=F(1, 8), r=4, eta=0, sigma=1, seed=0)
-        p = RecoveryProblem(
-            b_m=b,
-            hidden_dual=b,
-            sampler=cfg,
-            index_bound=1,
-            det_l_bound=F(1),
-            lambda1_sq_dual=(F(1), F(1)),
-            dual_det_bound=F(2),
-        )
-        rep = precision_gap_report(p, k=4)
-        assert rep["q_baseline"] >= 1 and rep["q_sublattice"] >= 1
+    def test_baseline_q_grows_with_dimension(self, monkeypatch):
+        """At 64 bits the samples carry too few bits, so each report comes
+        back before any draw."""
+        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        qs = [
+            recover_baseline(make_planted_problem(dim, 2, seed=1), k=6 * dim).required_q
+            for dim in self.DIMS
+        ]
+        assert qs == [15, 22, 29, 37, 45]
+        assert all(a < b for a, b in zip(qs, qs[1:]))
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_sublattice_recovers_where_baseline_cannot(self, dim, monkeypatch):
+        """At the problem's own 64 bits and delta the baseline is infeasible,
+        while Babai rounding against M* recovers L = Z^dim exactly."""
+        p = make_planted_problem(dim, 2, seed=1)
+        with monkeypatch.context() as mp:
+            mp.setattr(recovery, "sample_dual", no_sampling)
+            base = recover_baseline(p, k=6 * dim)
+        assert not base.feasible and base.b_l_approx is None
+        assert base.input_bits < base.required_q
+        res = recover_with_retries(p, k=6 * dim)
+        assert res.index == 2
+        assert lattices_equal(res.b_l, BasisMatrix.identity(dim))
