@@ -158,22 +158,13 @@ def bp_reduce(
     tops = [row[:m] for row in reduced]
     bottoms = [row[m:] for row in reduced]
     top_norms = [hnorm_sq(t) for t in tops]
-    thr_sq = Fraction(2) ** (k - 1) * derived.m_tilde**2
-
     n_rel = k - m
-    for j in range(n_rel, k):
-        if top_norms[j] <= thr_sq:
-            raise RankError(
-                "more than k - m short columns: generators rank deficient "
-                "or precision bound violated"
-            )
-
     scale = Fraction(1, 2**q)
     basis_approx = tuple(
         tuple(RingElement(e.a * scale, e.b * scale, e.kind) for e in tops[j])
         for j in range(n_rel, k)
     )
-    return BPResult(
+    result = BPResult(
         basis_approx=basis_approx,
         basis_coords=tuple(tuple(bottoms[j]) for j in range(n_rel, k)),
         relations=tuple(tuple(bottoms[j]) for j in range(n_rel)),
@@ -185,6 +176,13 @@ def bp_reduce(
         m_tilde=derived.m_tilde,
         ring=ring,
     )
+    thr_sq = result.threshold_sq
+    if any(n <= thr_sq for n in result.basis_top_norms_sq):
+        raise RankError(
+            "more than k - m short columns: generators rank deficient "
+            "or precision bound violated"
+        )
+    return result
 
 
 def relation_norm_check(result: BPResult) -> bool:

@@ -120,7 +120,8 @@ def _dump(args, obj: dict) -> str:
 def _read_config(path: str, cfg: dict) -> tuple:
     """(mode, instance) of a recover config. It holds mode, instance and seed,
     and the instance conductor, or dim and an optional index; any other key
-    is an input error, not ignored."""
+    is an input error, not ignored, and so is a seed, conductor, dim or index
+    that is not a JSON integer (a float is not truncated, true is not 1)."""
     mode, inst = cfg.get("mode", "sublattice"), cfg.get("instance")
     if mode not in ("sublattice", "baseline"):
         raise ConfigurationError(f"{path}: mode must be 'sublattice' or 'baseline', not {mode!r}")
@@ -132,6 +133,11 @@ def _read_config(path: str, cfg: dict) -> tuple:
     unread = sorted(set(cfg) - {"mode", "instance", "seed"}) + sorted(set(inst) - shape)
     if unread:
         raise ConfigurationError(f"{path}: keys not read: {clip(unread)}")
+    for key, value in dict(inst, seed=cfg.get("seed", 0)).items():
+        if type(value) is not int:
+            raise ConfigurationError(
+                f"{path}: {key} must be a JSON integer, got {clip(json.dumps(value))}"
+            )
     return mode, inst
 
 
@@ -148,18 +154,14 @@ def cmd_recover(args) -> int:
             _reject_unread(args, "is not read with a planted config instance", "precision_bits")
         if "seed" in cfg:
             _reject_unread(args, "is not read with a config that sets seed", "seed")
-            args.seed = int(cfg["seed"])
+            args.seed = cfg["seed"]
     _fill_defaults(args, dim=2, index=1, precision_bits=64, seed=0)
 
     if args.config:
         if "conductor" in inst:
-            problem = build_cyclotomic_problem(
-                int(inst["conductor"]), args.precision_bits, args.seed
-            )
+            problem = build_cyclotomic_problem(inst["conductor"], args.precision_bits, args.seed)
         else:
-            problem = make_planted_problem(
-                int(inst["dim"]), int(inst.get("index", 1)), args.seed
-            )
+            problem = make_planted_problem(inst["dim"], inst.get("index", 1), args.seed)
         baseline = mode == "baseline"
         conductor = inst.get("conductor")
     elif args.cyclotomic is not None:

@@ -121,6 +121,8 @@ def generator_exponents(field: CyclotomicField, j: int, quotient_index: int) -> 
 # Bits carried below the table's working precision; they absorb the series'
 # truncation errors so that every entry rounds to within one ulp.
 GUARD_BITS = 32
+# log_embedding's largest working precision before it gives up
+MAX_WORK_BITS = 4096
 
 
 def _atan_inv(n: int, prec: int) -> int:
@@ -237,10 +239,7 @@ def _nearest(c: int, shift: int) -> int:
 
 
 def log_embedding(
-    products: Sequence[Dict[int, int]],
-    field: CyclotomicField,
-    precision_bits: int = 128,
-    max_bits: int = 4096,
+    products: Sequence[Dict[int, int]], field: CyclotomicField, precision_bits: int = 128
 ) -> List[FixedPointVector]:
     """Log vectors of prod_t (1 - zeta_m^t)^e_t, one per exponent map, certified.
 
@@ -248,7 +247,7 @@ def log_embedding(
     integer sum of e_t T[a t mod m] over one _log_sine_table at W =
     precision_bits + 32 bits, with radius rad * sum |e_t|. If any coordinate
     interval is wider than 2**-precision_bits the table is rebuilt at twice
-    the working precision (up to max_bits) before giving up with
+    the working precision (up to MAX_WORK_BITS) before giving up with
     PrecisionError. Mantissas are the nearest integers to centre / 2^(W - p).
     """
     m = field.m
@@ -271,9 +270,9 @@ def log_embedding(
                 for exps in products
             ]
         work *= 2
-        if work > max_bits:
+        if work > MAX_WORK_BITS:
             raise PrecisionError(
-                f"cancellation not resolved below {max_bits} working bits"
+                f"cancellation not resolved below {MAX_WORK_BITS} working bits"
             )
 
 
@@ -321,13 +320,9 @@ def orbit_unit_exponents(field: CyclotomicField, precision_bits: int = 128) -> L
 # ---------------------------------------------------------------------------
 
 
-def alt_period_check(
-    poly_coeffs: Sequence[int],
-    candidate: Sequence,
-    precision_bits: int = 64,
-    base_point: Sequence = None,
-) -> float:
-    """Residual of a candidate period of the coefficient-wrapping function.
+def alt_period_check(poly_coeffs: Sequence[int], candidate: Sequence) -> float:
+    """Residual of a candidate period of the coefficient-wrapping function,
+    evaluated at the origin with 128-bit mpmath.
 
     poly_coeffs are the integer coefficients (highest degree first) of a monic
     squarefree-discriminant polynomial with all roots real. The function maps x
@@ -341,19 +336,16 @@ def alt_period_check(
 
     old = mp.prec
     try:
-        mp.prec = precision_bits + 64
+        mp.prec = 128
         n = len(poly_coeffs) - 1
         if len(candidate) != n:
             raise ValueError("candidate dimension must match the degree")
         roots = mpmath.polyroots([mpmath.mpf(c) for c in poly_coeffs], maxsteps=200)
-        tol = mpmath.mpf(2) ** (-(precision_bits // 2) - 8)
+        tol = mpmath.mpf(2) ** -40
         for r in roots:
             if abs(mpmath.im(r)) > tol:
                 raise ConfigurationError("polynomial has a complex root; field not totally real")
         roots = sorted(mpmath.re(r) for r in roots)
-        if base_point is None:
-            base_point = [mpmath.mpf(0)] * n
-        x = [mpmath.mpf(b) for b in base_point]
         c = [mpmath.mpf(v) for v in candidate]
 
         vander = mpmath.matrix(n, n)
@@ -366,8 +358,8 @@ def alt_period_check(
             neg = mpmath.lu_solve(vander, mpmath.matrix([mpmath.e ** (-p) for p in point]))
             return list(pos) + list(neg)
 
-        shifted = coeff_vectors([a + b for a, b in zip(x, c)])
-        base = coeff_vectors(x)
+        shifted = coeff_vectors(c)
+        base = coeff_vectors([mpmath.mpf(0)] * n)
         residual = mpmath.mpf(0)
         for s, b in zip(shifted, base):
             d = s - b

@@ -29,29 +29,35 @@ def _log2f(x) -> Fraction:
 class FieldProfile(Record):
     """Shape parameters of a number field as the estimator sees it.
 
-    n: degree; (n1, n2): signature; m: unit rank; d_log2: log2 |discriminant|.
+    (n1, n2): signature; d_log2: log2 |discriminant|. The degree n and the
+    unit rank m follow from the signature.
     """
 
-    n: int
     n1: int
     n2: int
-    m: int
     d_log2: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "d_log2", Fraction(self.d_log2))
-        if self.n1 + 2 * self.n2 != self.n:
-            raise ConfigurationError("signature does not match the degree")
-        if self.n1 + self.n2 - 1 != self.m:
-            raise ConfigurationError("unit rank must be n1 + n2 - 1")
-        if not (self.n / 2 - 1 <= self.m <= self.n - 1):
-            raise ConfigurationError("unit rank outside [n/2 - 1, n - 1]")
+        if self.n1 < 0 or self.n2 < 0:
+            raise ConfigurationError(f"signature must be nonnegative, got ({self.n1}, {self.n2})")
         if self.d_log2 < 0:
             raise ConfigurationError(f"log2 |discriminant| must be >= 0, got {clip(self.d_log2)}")
+        if self.d_log2 == 0 and self.n >= 2:
+            # Minkowski: every number field of degree >= 2 has |D| > 1
+            raise ConfigurationError(f"log2 |discriminant| must be > 0 at degree {self.n}")
+
+    @property
+    def n(self) -> int:
+        return self.n1 + 2 * self.n2
+
+    @property
+    def m(self) -> int:
+        return self.n1 + self.n2 - 1
 
 
 def totally_real_profile(n: int, d_log2) -> FieldProfile:
-    return FieldProfile(n=n, n1=n, n2=0, m=n - 1, d_log2=Fraction(d_log2))
+    return FieldProfile(n1=n, n2=0, d_log2=d_log2)
 
 
 def cyclotomic_generic_profile(conductor: int) -> FieldProfile:
@@ -65,7 +71,7 @@ def cyclotomic_generic_profile(conductor: int) -> FieldProfile:
     if m < 3:
         raise ConfigurationError("conductor must be at least 3")
     d_log2 = Fraction(m - 2) * _log2f(m)
-    return FieldProfile(n=m + 1, n1=m + 1, n2=0, m=m, d_log2=d_log2)
+    return FieldProfile(n1=m + 1, n2=0, d_log2=d_log2)
 
 
 def oracle_params(profile: FieldProfile) -> dict:
@@ -99,18 +105,13 @@ def oracle_params(profile: FieldProfile) -> dict:
 
 
 def sampler_qubits(
-    profile: FieldProfile,
-    delta_lambda_log2: Fraction,
-    eta: Fraction,
-    lip_log2: Fraction = None,
+    profile: FieldProfile, delta_lambda_log2: Fraction, eta: Fraction, lip_log2: Fraction
 ) -> Fraction:
     """Per-sample register width Q = m log(m log 1/eta) + log(Lip/(eta delta lambda_1*))."""
     eta = Fraction(eta)
     if not 0 < eta < Fraction(1, 2):
         raise ConfigurationError("eta must lie in (0, 1/2)")
     m = profile.m
-    if lip_log2 is None:
-        lip_log2 = oracle_params(profile)["lip_log2"]
     log_inv_eta = _log2f(Fraction(1, 1) / eta)
     return (
         m * _log2f(m * max(log_inv_eta, Fraction(1)))
@@ -232,7 +233,7 @@ def qubit_count_generic(profile: FieldProfile, tau_log2: Fraction) -> ResourceEs
     k = compute_k(m, lip, profile.d_log2)
     eta = Fraction(1, k * k)
     delta_lambda_log2 = -(inv_lam + 1)  # delta lambda_1* = lambda_1*/2
-    q = sampler_qubits(profile, delta_lambda_log2, eta)
+    q = sampler_qubits(profile, delta_lambda_log2, eta, lip)
 
     mf = Fraction(m)
     terms = (

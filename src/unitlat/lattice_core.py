@@ -45,10 +45,10 @@ class ContainmentError(UnitlatError, ValueError):
     """Claimed sublattice is not contained in the ambient lattice."""
 
 
-def clip(value, limit: int = 40) -> str:
-    """str(value) for an error message, cut after limit characters."""
+def clip(value) -> str:
+    """str(value) for an error message, cut after 40 characters."""
     text = str(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _to_frac(x) -> Fraction:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .bdd_sampler import (
-    SampleRecord,
     SamplerConfig,
     babai_bdd,
     gpv_sigma,
@@ -88,18 +87,16 @@ class RecoveryProblem(Record):
             )
 
 
-def compute_k(m: int, lip_log2, detl_log2, alpha: int = 3) -> int:
+def compute_k(m: int, lip_log2, detl_log2) -> int:
     """Number of samples guaranteeing the drawn dual points generate L*.
 
-    Two sufficient counts are in play — alpha*(m + m*lip + log2 det L) and
-    m*(log2(sqrt(m)) + lip) + log2 det L — and they are incomparable, so the
-    larger is used.
+    Two sufficient counts are in play — 3*(m + m*lip + log2 det L) (any
+    factor above 2 would do) and m*(log2(sqrt(m)) + lip) + log2 det L — and
+    they are incomparable, so the larger is used.
     """
-    if alpha <= 2:
-        raise ConfigurationError("alpha must exceed 2")
     lip = float(lip_log2)
     det = float(detl_log2)
-    k1 = math.ceil(alpha * (m + m * lip + det))
+    k1 = math.ceil(3 * (m + m * lip + det))
     k2 = math.ceil(m * (0.5 * math.log2(m) + lip) + det)
     return max(k1, k2, m)
 
@@ -110,14 +107,6 @@ def _sample_count(problem: "RecoveryProblem", k: Optional[int]) -> int:
         return k
     detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
     return compute_k(problem.b_m.m, 0, detl_log2)
-
-
-def _draw(problem: "RecoveryProblem", k: Optional[int], samples) -> Sequence:
-    """The given samples, or _sample_count(problem, k) fresh sampler draws."""
-    if samples is None:
-        count = _sample_count(problem, k)
-        samples = sample_dual(problem.hidden_dual, problem.sampler, count, problem.precision_bits)
-    return samples
 
 
 class RecoveryResult(Record):
@@ -139,9 +128,7 @@ class RecoveryResult(Record):
         return w.ints
 
 
-def recover_with_sublattice(
-    problem: RecoveryProblem, k: int = None, samples: Sequence[SampleRecord] = None
-) -> RecoveryResult:
+def recover_with_sublattice(problem: RecoveryProblem, k: int = None) -> RecoveryResult:
     """Recover L exactly from k noisy dual samples and the known sublattice M.
 
     Every sample is rounded to the nearest point of M*, giving exact integer
@@ -150,8 +137,8 @@ def recover_with_sublattice(
     invariant factors, and B_L = (W^t)^-1 B_M.
     """
     m = problem.b_m.m
-    samples = _draw(problem, k, samples)
-    k = len(samples)
+    k = _sample_count(problem, k)
+    samples = sample_dual(problem.hidden_dual, problem.sampler, k, problem.precision_bits)
 
     coord_rows = []
     failed = 0
@@ -179,14 +166,12 @@ def recover_with_sublattice(
     return RecoveryResult(b_l, problem.b_m, index, k, factors, failed)
 
 
-def recover_with_retries(
-    problem: RecoveryProblem, k: int = None, attempts: int = 3
-) -> RecoveryResult:
-    """recover_with_sublattice, reseeding the sampler on rank failures. The
-    first attempt runs on the problem itself; only a retry builds a reseeded
-    copy, which is validated again."""
+def recover_with_retries(problem: RecoveryProblem, k: int = None) -> RecoveryResult:
+    """recover_with_sublattice, reseeding the sampler on rank failures, three
+    attempts in all. The first attempt runs on the problem itself; only a
+    retry builds a reseeded copy, which is validated again."""
     last = None
-    for attempt in range(attempts):
+    for attempt in range(3):
         trial = problem
         if attempt:
             cfg = problem.sampler.replace(seed=problem.sampler.seed + 1009 * attempt)
@@ -210,9 +195,7 @@ class BaselineResult(Record):
 TAU_LOG2 = 20  # target output precision of the baseline, in bits
 
 
-def recover_baseline(
-    problem: RecoveryProblem, k: int = None, samples: Sequence[SampleRecord] = None
-) -> BaselineResult:
+def recover_baseline(problem: RecoveryProblem, k: int = None) -> BaselineResult:
     """Approximate L from raw samples: reconstruct a basis of L*, invert it.
 
     No rounding against M* — the reconstruction must separate lattice from
@@ -226,7 +209,7 @@ def recover_baseline(
     if problem.dual_det_bound is None:
         raise ConfigurationError("baseline needs an upper bound on det L*")
     m = problem.b_m.m
-    k = len(samples) if samples is not None else _sample_count(problem, k)
+    k = _sample_count(problem, k)
     params = BPParams(mu=sqrt_lower(problem.lambda1_sq_dual[0]), D=problem.dual_det_bound)
     derived = params.derive(m, k)
     noise = problem.sampler.delta * sqrt_upper(problem.lambda1_sq_dual[1])
@@ -234,7 +217,7 @@ def recover_baseline(
     if input_bits < derived.q:
         return BaselineResult(False, derived.q, None, None, k, input_bits)
 
-    samples = _draw(problem, k, samples)
+    samples = sample_dual(problem.hidden_dual, problem.sampler, k, problem.precision_bits)
     gens = [s.y_tilde for s in samples]
     # the working scale: at least the derived q, pushed up to the target
     # output precision
@@ -305,13 +288,7 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     return BasisMatrix([log.to_rationals()[:rank] for log in logs])
 
 
-def build_cyclotomic_problem(
-    m: int,
-    precision_bits: int = 128,
-    seed: int = 0,
-    delta: Fraction = None,
-    eta: Fraction = Fraction(0),
-) -> RecoveryProblem:
+def build_cyclotomic_problem(m: int, precision_bits: int = 128, seed: int = 0) -> RecoveryProblem:
     """Recovery instance with M = L = the conductor-m log lattice (class-like
     index 1), sampled through its dual."""
     b_m = cyclotomic_log_basis(m, precision_bits)
@@ -320,15 +297,12 @@ def build_cyclotomic_problem(
     lam_sq = lambda1_sq_bracket(b_dual)
     lam_up = sqrt_upper(lam_sq[1])
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
-    if delta is None:
-        # half of what the Babai hypothesis allows
-        delta = min(Fraction(1, 4), 1 / (4 * bm_two * lam_up))
+    # half of what the Babai hypothesis allows
+    delta = min(Fraction(1, 4), 1 / (4 * bm_two * lam_up))
     # 2 lambda_1, raised to the width the nearest-plane sampler needs; the
     # concentration radius covers the 3 sigma ball the draws come from
     sigma = max(2 * lam_up, gpv_sigma(b_dual))
-    cfg = SamplerConfig(
-        delta=delta, r=max(9 * lam_up, 3 * sigma), eta=eta, sigma=sigma, seed=seed
-    )
+    cfg = SamplerConfig(delta=delta, r=max(9 * lam_up, 3 * sigma), eta=0, sigma=sigma, seed=seed)
     det_l = abs(b_m.det())
     return RecoveryProblem(
         b_m=b_m,
@@ -342,13 +316,7 @@ def build_cyclotomic_problem(
     )
 
 
-def make_planted_problem(
-    dim: int,
-    index: int = 1,
-    seed: int = 0,
-    eta: Fraction = Fraction(0),
-    sigma: Fraction = Fraction(6, 5),
-) -> RecoveryProblem:
+def make_planted_problem(dim: int, index: int = 1, seed: int = 0) -> RecoveryProblem:
     """Planted instance: hidden L = Z^dim, known M a random sublattice of the
     requested index, sampler bound to L* = Z^dim."""
     import random
@@ -369,9 +337,8 @@ def make_planted_problem(
     b_l = BasisMatrix.identity(dim)
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     delta = min(Fraction(1, 4), 1 / (4 * bm_two))  # lambda_1(L*) = 1 here
-    cfg = SamplerConfig(
-        delta=delta, r=3 * Fraction(sigma) + 1, eta=eta, sigma=sigma, seed=seed
-    )
+    sigma = Fraction(6, 5)
+    cfg = SamplerConfig(delta=delta, r=3 * sigma + 1, eta=0, sigma=sigma, seed=seed)
     return RecoveryProblem(
         b_m=b_m,
         hidden_dual=b_l,  # Z^dim is self-dual

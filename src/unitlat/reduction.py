@@ -33,6 +33,7 @@ from .lattice_core import (
     clip,
     gram_data,
     integer_rows,
+    round_ratio,
 )
 from .rings import INTEGERS, RingDescriptor, RingElement, hdot, hnorm_sq, ring_by_kind
 
@@ -103,11 +104,6 @@ def _ring_rows(basis) -> tuple:
     if len(kinds) != 1:
         raise ConfigurationError(f"rows must share one ring kind, got {sorted(kinds)}")
     return rows, ring_by_kind(kinds.pop())
-
-
-def _as_delta(delta) -> Fraction:
-    """delta as an exact Fraction; other numbers go through limit_denominator(10**6)."""
-    return delta if isinstance(delta, Fraction) else Fraction(delta).limit_denominator(10**6)
 
 
 def _check_delta(delta: Fraction, ring: RingDescriptor) -> None:
@@ -207,9 +203,8 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
     while k < n:
         lk = lam[k]
         for j in range(k - 1, -1, -1):
-            # q = round_half_away(lam[k][j] / d[j+1]), in integers
-            c, dj = lk[j], d[j + 1]
-            q = (2 * c + dj) // (2 * dj) if c >= 0 else -((dj - 2 * c) // (2 * dj))
+            dj = d[j + 1]
+            q = round_ratio(lk[j], dj)
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
@@ -243,7 +238,7 @@ def lll_reduce(basis, delta=DEFAULT_DELTA):
     ring unit).
     """
     if isinstance(basis, BasisMatrix):
-        u = BasisMatrix(_lll_int(basis.ints, _as_delta(delta))[1])
+        u = BasisMatrix(_lll_int(basis.ints, delta)[1])
         return u.matmul(basis), u
     if isinstance(basis, OKMatrix):
         red, u = lll_reduce_rows(basis, delta)
@@ -267,7 +262,6 @@ def lll_reduce_rows(rows, delta=DEFAULT_DELTA):
     scaled by their common denominator D and the result divided back by D:
     mu and the Lovasz test do not see the scaling."""
     rows, ring = _ring_rows(rows)
-    delta = _as_delta(delta)
     if ring.kind != INTEGERS.kind:
         red, u = _lll_rows(rows, delta, ring)
         return [tuple(r) for r in red], [tuple(r) for r in u]
@@ -284,7 +278,6 @@ def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
     basis: a BasisMatrix, an OKMatrix or ring-element rows, as for
     check_reduced_bound.
     """
-    delta = _as_delta(delta)
     b, ring = _ring_rows(basis)
     ortho, mu = _gram_schmidt(b)
     mk = ring.euclidean_minimum
@@ -299,22 +292,22 @@ def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
     return True
 
 
-def check_reduced_bound(basis, delta=DEFAULT_DELTA) -> bool:
-    """Norm bound ||b_j|| <= (1/(delta - m_K))^(j-1) (det L)^(1/m) for all j.
+def check_reduced_bound(basis) -> bool:
+    """Norm bound ||b_j|| <= (1/(delta - m_K))^(j-1) (det L)^(1/m) for all j,
+    delta = DEFAULT_DELTA.
 
     Evaluated exactly by comparing 2m-th powers, with det L the product of the
     Gram-Schmidt norms over the ring. A shape check for the near-cubic family
     of acceptance criterion 4, not an LLL certificate: LLL does not imply the
     bound for j >= 2 (diag(1, 4) is reduced and fails it); is_reduced is.
     """
-    delta = _as_delta(delta)
     rows, ring = _ring_rows(basis)
     m = len(rows)
     ortho, _ = _gram_schmidt(rows)
     det_sq = Fraction(1)
     for v in ortho:
         det_sq *= hnorm_sq(v)
-    c_sq = 1 / (delta - ring.euclidean_minimum) ** 2
+    c_sq = 1 / (DEFAULT_DELTA - ring.euclidean_minimum) ** 2
     for j in range(m):
         # ||b_j||^(2m) <= c^(2m*j) * det_sq, all exact rationals
         if hnorm_sq(rows[j]) ** m > c_sq ** (m * j) * det_sq:

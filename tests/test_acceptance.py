@@ -202,7 +202,7 @@ def test_criterion_04_ok_lll_contract():
             [RingElement(x, 0, "integers") for x in row] for row in red.rows
         ]
         assert is_reduced(wrapped, DEFAULT_DELTA)
-        assert check_reduced_bound(red, DEFAULT_DELTA)
+        assert check_reduced_bound(red)
         assert abs(u.det()) == 1
         checked_bound += 1
     checked_forget = 0
@@ -343,13 +343,13 @@ def test_criterion_09_alt_period_check():
     non-periods."""
     poly = [1, -1, -1]
     planted = [2 * GOLDEN_LOG, -2 * GOLDEN_LOG]
-    res = alt_period_check(poly, planted, 64)
+    res = alt_period_check(poly, planted)
     assert res < 2**-32, res
     rng = random.Random(9)
     rejected = 0
     for _ in range(100):
         cand = [rng.uniform(0.05, 2.0) * rng.choice([-1, 1]) for _ in range(2)]
-        if alt_period_check(poly, cand, 64) > 0.1:
+        if alt_period_check(poly, cand) > 0.1:
             rejected += 1
     assert rejected == 100, f"only {rejected}/100 non-periods rejected"
     report(9, f"planted residual {res:.2e}, 100/100 non-periods rejected")

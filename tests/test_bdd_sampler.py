@@ -501,7 +501,8 @@ class TestSampler:
         per call instead of once per draw."""
         streams = []
         for dim in range(2, 7):
-            p = make_planted_problem(dim, 2 * dim - 1, seed=dim, eta=F(1, 10))
+            p = make_planted_problem(dim, 2 * dim - 1, seed=dim)
+            p = p.replace(sampler=p.sampler.replace(eta=F(1, 10)))
             samples = sample_dual(p.hidden_dual, p.sampler, 12 * dim, p.precision_bits)
             streams.append(dump_samples(samples))
         digest = hashlib.sha256("\n".join(streams).encode())

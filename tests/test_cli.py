@@ -319,6 +319,13 @@ class TestExitCodes:
         "conductor-and-dim.json": {"instance": {"conductor": 5, "dim": 3}},
         "instance-typo.json": {"instance": {"dim": 3, "indx": 2}},
         "instance-empty.json": {"instance": {}},
+        # numbers a config must give as JSON integers: none is truncated
+        "float-dim.json": {"instance": {"dim": 2.9, "index": 1}, "seed": 1.7},
+        "float-index.json": {"instance": {"dim": 2, "index": 1.0}},
+        "float-seed.json": {"instance": {"dim": 2}, "seed": 1.7},
+        "bool-seed.json": {"instance": {"conductor": 11}, "seed": True},
+        "float-conductor.json": {"instance": {"conductor": 11.5}},
+        "string-dim.json": {"instance": {"dim": "3"}},
         "dict-entries.json": {"m": 2, "rows": [[{"a": "1"}, "0"], ["0", "1"]]},
         "zero-denominator.json": {"ring": "gaussian", "rows": [[{"a": "1/0", "b": "0",
                                                                  "ring": "gaussian"}]]},
@@ -384,6 +391,18 @@ class TestExitCodes:
          "error: instance-typo.json: keys not read: ['indx']"),
         ("config-instance-empty", ["recover", "--config", "instance-empty.json"], 1,
          "error: instance-empty.json: instance must set conductor or dim"),
+        ("config-float-dim", ["recover", "--config", "float-dim.json"], 1,
+         "error: float-dim.json: dim must be a JSON integer, got 2.9\n"),
+        ("config-float-index", ["recover", "--config", "float-index.json"], 1,
+         "error: float-index.json: index must be a JSON integer, got 1.0\n"),
+        ("config-float-seed", ["recover", "--config", "float-seed.json"], 1,
+         "error: float-seed.json: seed must be a JSON integer, got 1.7\n"),
+        ("config-bool-seed", ["recover", "--config", "bool-seed.json"], 1,
+         "error: bool-seed.json: seed must be a JSON integer, got true\n"),
+        ("config-float-conductor", ["recover", "--config", "float-conductor.json"], 1,
+         "error: float-conductor.json: conductor must be a JSON integer, got 11.5\n"),
+        ("config-string-dim", ["recover", "--config", "string-dim.json"], 1,
+         'error: string-dim.json: dim must be a JSON integer, got "3"\n'),
         ("planted-config-precision",
          ["recover", "--config", "planted.json", "--precision-bits", "999"], 1,
          "usage error: --precision-bits is not read with a planted config instance"),
@@ -404,6 +423,16 @@ class TestExitCodes:
          "error: log2 |discriminant| must be >= 0, got -1000"),
         ("estimate-kummer-negative", ["estimate", "--kummer", "2", "-5"], 1,
          "error: log2 |discriminant| must be >= 0, got -5"),
+        ("estimate-kummer-zero-discriminant", ["estimate", "--kummer", "2", "0"], 1,
+         "error: log2 |discriminant| must be > 0 at degree 2\n"),
+        ("estimate-kummer-5-zero-discriminant", ["estimate", "--kummer", "5", "0"], 1,
+         "error: log2 |discriminant| must be > 0 at degree 5\n"),
+        ("estimate-logD-zero", ["estimate", "--m", "3", "--logD", "0"], 1,
+         "error: log2 |discriminant| must be > 0 at degree 4\n"),
+        ("estimate-kummer-negative-degree", ["estimate", "--kummer", "-3", "5"], 1,
+         "error: signature must be nonnegative, got (-3, 0)\n"),
+        ("estimate-kummer-degree-0", ["estimate", "--kummer", "0", "5"], 1,
+         "error: degree must be at least 2\n"),
         ("estimate-compare-conductor-0", ["estimate", "--cyclotomic", "0", "--compare"], 1,
          "error: conductor must be at least 3"),
         ("estimate-compare-conductor-negative",

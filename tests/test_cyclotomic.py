@@ -107,13 +107,15 @@ class TestLogEmbedding:
         with pytest.raises(ConfigurationError):
             log_embedding([{5: 1}], CyclotomicField(5), 64)
 
-    def test_wide_coordinate_escalates(self):
+    def test_wide_coordinate_escalates(self, monkeypatch):
         """An exponent of 2^40 widens each interval past 2^-64 at 96 working
         bits; the rebuilt table certifies it, and a cap below the rebuild
         raises PrecisionError."""
         f = CyclotomicField(5)
-        with pytest.raises(PrecisionError):
-            log_embedding([{1: 2**40}], f, 64, max_bits=100)
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclotomic, "MAX_WORK_BITS", 100)
+            with pytest.raises(PrecisionError, match="below 100 working bits"):
+                log_embedding([{1: 2**40}], f, 64)
         (vec,) = log_embedding([{1: 2**40}], f, 64)
         with mpmath.workdps(60):
             expect = tuple(
@@ -241,25 +243,25 @@ class TestAltPeriodCheck:
         return [2 * math.log(GOLDEN), -2 * math.log(GOLDEN)]
 
     def test_planted_period(self):
-        assert alt_period_check(self.POLY, self.planted(), 64) < 2**-32
+        assert alt_period_check(self.POLY, self.planted()) < 2**-32
 
     def test_integer_multiples_are_periods(self):
         cand = [3 * x for x in self.planted()]
-        assert alt_period_check(self.POLY, cand, 64) < 2**-30
+        assert alt_period_check(self.POLY, cand) < 2**-30
 
     def test_random_non_periods(self):
         rng = random.Random(0)
         hits = 0
         for _ in range(50):
             cand = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            if alt_period_check(self.POLY, cand, 64) > 0.1:
+            if alt_period_check(self.POLY, cand) > 0.1:
                 hits += 1
         assert hits >= 48  # a random vector is essentially never a period
 
     def test_complex_roots_rejected(self):
         with pytest.raises(ConfigurationError):
-            alt_period_check([1, 0, 1], [0.1, 0.2], 64)  # x^2 + 1
+            alt_period_check([1, 0, 1], [0.1, 0.2])  # x^2 + 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            alt_period_check(self.POLY, [0.1], 64)
+            alt_period_check(self.POLY, [0.1])

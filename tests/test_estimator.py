@@ -26,13 +26,25 @@ F = Fraction
 
 
 class TestProfile:
-    def test_signature_checked(self):
-        with pytest.raises(ConfigurationError):
-            FieldProfile(n=4, n1=1, n2=1, m=1, d_log2=10)
+    def test_degree_and_unit_rank_follow_the_signature(self):
+        p = FieldProfile(n1=1, n2=2, d_log2=10)
+        assert (p.n, p.m, p.d_log2) == (5, 2, F(10))
+        assert FieldProfile._fields == ("n1", "n2", "d_log2")
 
-    def test_unit_rank_checked(self):
-        with pytest.raises(ConfigurationError):
-            FieldProfile(n=4, n1=4, n2=0, m=2, d_log2=10)
+    def test_negative_signature_rejected(self):
+        for n1, n2 in ((-3, 0), (2, -1)):
+            with pytest.raises(ConfigurationError, match="signature must be nonnegative"):
+                FieldProfile(n1=n1, n2=n2, d_log2=10)
+
+    @pytest.mark.parametrize("n1,n2", [(2, 0), (0, 1), (5, 0), (1, 3)])
+    def test_zero_discriminant_rejected_from_degree_two(self, n1, n2):
+        """Minkowski: |D| > 1 for every number field of degree >= 2, so
+        log2 |D| = 0 names no field there."""
+        with pytest.raises(ConfigurationError, match="must be > 0 at degree"):
+            FieldProfile(n1=n1, n2=n2, d_log2=0)
+
+    def test_zero_discriminant_allowed_at_degree_one(self):
+        assert FieldProfile(n1=1, n2=0, d_log2=0).n == 1
 
     def test_negative_discriminant_rejected(self):
         """log2 |D| < 0 made Q negative (-4709 at n = 4, log2 |D| = -1000)."""
@@ -47,7 +59,7 @@ class TestProfile:
 class TestOracleParams:
     def test_n2_d5_exact(self):
         # s = 3 * 2^4 * sqrt(10): log2 s = log2 3 + 4 + 0.5 log2 10
-        p = FieldProfile(n=2, n1=2, n2=0, m=1, d_log2=F(math.log2(5)))
+        p = FieldProfile(n1=2, n2=0, d_log2=F(math.log2(5)))
         params = oracle_params(p)
         expect = math.log2(3) + 4 + 0.5 * math.log2(10)
         assert abs(float(params["s_log2"]) - expect) < 1e-9
@@ -71,21 +83,21 @@ class TestOracleParams:
 
     def test_degree_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            oracle_params(FieldProfile(n=1, n1=1, n2=0, m=0, d_log2=3))
+            oracle_params(FieldProfile(n1=1, n2=0, d_log2=3))
 
 
 class TestSamplerQubits:
     def test_doubling_lip_adds_one(self):
         p = totally_real_profile(4, 20)
         lip = oracle_params(p)["lip_log2"]
-        q1 = sampler_qubits(p, F(-5), F(1, 100), lip_log2=lip)
-        q2 = sampler_qubits(p, F(-5), F(1, 100), lip_log2=lip + 1)
+        q1 = sampler_qubits(p, F(-5), F(1, 100), lip)
+        q2 = sampler_qubits(p, F(-5), F(1, 100), lip + 1)
         assert q2 - q1 == 1
 
     def test_eta_range(self):
         p = totally_real_profile(4, 20)
         with pytest.raises(ConfigurationError):
-            sampler_qubits(p, F(0), F(3, 4))
+            sampler_qubits(p, F(0), F(3, 4), oracle_params(p)["lip_log2"])
 
     def test_eta_one_over_k_sq_wiring(self):
         p = cyclotomic_generic_profile(20)
@@ -94,6 +106,7 @@ class TestSamplerQubits:
             p,
             -(F(p.m) + p.d_log2 / p.m + 1),
             F(1, est.k * est.k),
+            oracle_params(p)["lip_log2"],
         )
         assert est.q == direct
 

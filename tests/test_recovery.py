@@ -14,7 +14,7 @@ from unitlat.bdd_sampler import (
     verify_sampler_contract,
 )
 from unitlat.enumeration import shortest_vector_sq
-from unitlat.lattice_core import BasisMatrix, ConfigurationError, sqrt_upper
+from unitlat.lattice_core import BasisMatrix, ConfigurationError, op_norm_two_sq, sqrt_upper
 from unitlat.recovery import (
     ContractViolationError,
     InsufficientSamplesError,
@@ -38,14 +38,10 @@ GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
 
 class TestComputeK:
     def test_trivial_example(self):
-        assert compute_k(2, 0, 0, alpha=3) == 6
+        assert compute_k(2, 0, 0) == 6
 
     def test_arithmetic_example(self):
-        assert compute_k(4, 5, 10, alpha=3) == 102
-
-    def test_alpha_must_exceed_two(self):
-        with pytest.raises(ConfigurationError):
-            compute_k(2, 0, 0, alpha=2)
+        assert compute_k(4, 5, 10) == 102
 
     def test_at_least_m(self):
         assert compute_k(5, 0, 0) >= 5
@@ -190,6 +186,25 @@ class TestCyclotomicRecovery:
     def test_rank_zero_conductor_rejected(self):
         with pytest.raises(ConfigurationError):
             build_cyclotomic_problem(3)
+
+
+NOISE_CASES = [("planted", dim) for dim in range(2, 7)] + [("cyclotomic", m) for m in (5, 11, 21)]
+
+
+@pytest.mark.parametrize("kind,size", NOISE_CASES, ids=[f"{k}-{s}" for k, s in NOISE_CASES])
+def test_noise_is_half_the_babai_budget(kind, size):
+    """Both builders set delta = min(1/4, 1 / (4 ||B_M||_2+ lambda_1+)), the
+    upper ends the problem carries: half of what the Babai hypothesis
+    delta lambda_1(L*) < 1 / (2 ||B_M||_2) allows. m = 5 takes the 1/4 cap."""
+    if kind == "planted":
+        p = make_planted_problem(size, 2 * size - 1, seed=size)
+    else:
+        p = build_cyclotomic_problem(size, 128, seed=1)
+    bm_two = sqrt_upper(op_norm_two_sq(p.b_m))
+    lam_up = sqrt_upper(p.lambda1_sq_dual[1])
+    assert p.sampler.delta == min(F(1, 4), 1 / (4 * bm_two * lam_up))
+    assert p.sampler.delta * lam_up * 2 * bm_two <= F(1, 2)
+    assert (p.sampler.delta == F(1, 4)) == (size == 5 and kind == "cyclotomic")
 
 
 def no_sampling(*args, **kwargs):

@@ -100,7 +100,7 @@ class TestIntegerLLL:
             except RankError:
                 continue
             red, _ = lll_reduce(b)
-            assert check_reduced_bound(red, DEFAULT_DELTA)
+            assert check_reduced_bound(red)
 
     def test_norm_bound_fails_on_skewed_lattice(self):
         """diag(1, 4) is reduced yet violates the uniform norm bound: the
@@ -108,7 +108,7 @@ class TestIntegerLLL:
         ones."""
         b = BasisMatrix.diagonal([F(1), F(4)])
         assert is_reduced(wrap_rows(b), DEFAULT_DELTA)
-        assert not check_reduced_bound(b, DEFAULT_DELTA)
+        assert not check_reduced_bound(b)
 
 
 def rand_rows(rng, n, bits, rational, identity_block):
