@@ -50,10 +50,10 @@ def defaulted_parameters() -> dict:
         for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
             scopes += [(node, cls.name) for node in cls.body]
         for node, cls in scopes:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, ast.FunctionDef):
                 continue
-            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-            params = _defaulted(node, bound=cls is not None and not static)
+            # a staticmethod would count as bound: lenient, never a false failure
+            params = _defaulted(node, bound=cls is not None)
             if not params:
                 continue
             qual = f"{module}.{cls + '.' if cls else ''}{node.name}"
