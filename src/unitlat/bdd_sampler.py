@@ -6,6 +6,18 @@ delta times (a lower bound on) lambda_1 of the dual, and injects outright
 failures with a configured probability. Each record keeps the planted
 ground-truth point so statistical contracts can be verified after the fact.
 
+One private generator, _draws, makes the stream. Per sample it yields
+(y, mantissas, failed): the draw's coordinates in the reduced basis, the
+sample's fixed-point mantissas and the failure flag, from one seeded rng
+whose calls come in a fixed order. sample_dual wraps it into SampleRecords,
+with ground-truth coordinates from y. recover_with_sublattice reads it
+directly and rounds each mantissa vector with babai_round, the rounding
+babai_bdd does, so a recovery builds no record. Two exact shortcuts are
+chosen from the input: over an integral reduced basis the mantissas come
+from the float noise times 2^precision_bits without a big division
+(_integral_mantissas), and when every mu row is zero a draw is m bisections
+over windows built once.
+
 The draw is Klein's nearest-plane sampler over the LLL-reduced basis (Klein,
 SODA 2000; Gentry-Peikert-Vaikuntanathan, STOC 2008), one 1-D Gaussian per
 Gram-Schmidt level, kept only if the exact integer norm is within the ball.
@@ -123,8 +135,13 @@ def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
     """
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
-    mants, scale = y_tilde.mantissas, b_m.den << y_tilde.exponent
-    return tuple(round_ratio(sum(map(mul, row, mants)), scale) for row in b_m.ints)
+    return tuple(babai_round(b_m.ints, y_tilde.mantissas, b_m.den << y_tilde.exponent))
+
+
+def babai_round(ints, mants, scale: int) -> list:
+    """[round_ratio(row . mants, scale) for row in ints]: Babai rounding of
+    the mantissas against B_M = ints / den, with scale = den 2^exponent."""
+    return [round_ratio(sum(map(mul, row, mants)), scale) for row in ints]
 
 
 # the GPV smoothing slack: sigma >= max ||b~_i|| sqrt(ln(2n(1 + 1/eps)) / pi)
@@ -224,7 +241,23 @@ def _window(a: float, c: float, half: float, spread: float) -> tuple:
     return lo, list(accumulate(math.exp(-a * (x - c) ** 2) for x in range(lo, hi + 1)))
 
 
-def _klein_draw(levels, cols, bound: int, rng: random.Random):
+def _levels_draw(levels, uniform):
+    """y drawn level by level, each window built unless it came ready, or
+    None if a window holds no integer."""
+    y = [0] * len(levels)
+    for i in reversed(range(len(levels))):
+        a, half, mu, window = levels[i]
+        if window is None:
+            terms = [u * x for u, x in zip(mu, y[i + 1:])]
+            window = _window(a, -sum(terms), half, sum(map(abs, terms)))
+        lo, cum = window
+        if not cum:
+            return None
+        y[i] = lo + bisect_left(cum, uniform() * cum[-1])
+    return y
+
+
+def _klein_draw(levels, ready, cols, bound: int, rng: random.Random):
     """(y, point): a nearest-plane draw y (coordinates in the reduced basis)
     with ||point||^2 <= bound exactly, point = y @ kb.rows (integers over
     kb.den) taken against cols, the columns of kb.rows.
@@ -235,7 +268,9 @@ def _klein_draw(levels, cols, bound: int, rng: random.Random):
     3 sigma / ||b~_i||, by one uniform and an inverse CDF (Klein, SODA 2000).
     levels[i] = (a_i, half_i, kb.mu[i], window): a level whose mu row is zero
     has c_i = 0 whatever y is, and its _window comes ready; the others are
-    built per draw.
+    built per draw. When every window comes ready, ready holds them as
+    (lo, cum, cum[-1]) from the last level down, and a draw is m bisects
+    with the same uniforms in the same order.
     A ball point has |y_i - c_i| ||b~_i|| <= ||point|| at every level, so
     every point of the ball of radius 3 sigma lies in these windows; the float
     window is widened by PAD times the magnitude of its terms, far above its
@@ -243,39 +278,57 @@ def _klein_draw(levels, cols, bound: int, rng: random.Random):
     exact integer norm is within the bound, else a fresh draw starts, at most
     MAX_REJECTIONS times in a row.
     """
-    m = len(levels)
+    uniform = rng.random
     for _ in range(MAX_REJECTIONS):
-        y = [0] * m
-        for i in reversed(range(m)):
-            a, half, mu, window = levels[i]
-            if window is None:
-                terms = [u * x for u, x in zip(mu, y[i + 1:])]
-                window = _window(a, -sum(terms), half, sum(map(abs, terms)))
-            lo, cum = window
-            if not cum:
-                break
-            y[i] = lo + bisect_left(cum, rng.random() * cum[-1])
+        if ready is None:
+            y = _levels_draw(levels, uniform)
+            if y is None:
+                continue
         else:
-            point = [sum(map(mul, y, col)) for col in cols]
-            if sum(map(mul, point, point)) <= bound:
-                return y, point
+            y = [lo + bisect_left(cum, uniform() * total) for lo, cum, total in ready]
+            y.reverse()
+        point = [sum(map(mul, y, col)) for col in cols]
+        if sum(map(mul, point, point)) <= bound:
+            return y, point
     raise ConfigurationError(
         f"nearest-plane draws left the 3 sigma ball {MAX_REJECTIONS} times in a "
-        f"row: at dimension {m} the ball holds too little of the Gaussian's mass"
+        f"row: at dimension {len(levels)} the ball holds too little of the Gaussian's mass"
     )
 
 
-def sample_dual(
-    b_l_star: BasisMatrix,
-    cfg: SamplerConfig,
-    count: int,
-    precision_bits: int = 64,
-) -> List[SampleRecord]:
-    """Draw `count` simulated sampler outputs near the lattice of b_l_star:
-    points of the 3 sigma ball from the nearest-plane sampler over the
-    LLL-reduced basis, each moved by noise of norm below delta * lambda_1.
-    The exact point plus the float noise, taken as the rational it is, is
-    rounded once: with delta = 0 each coordinate is within 2^-(precision_bits + 1)."""
+def _integral_mantissas(exact, noise, shift: int) -> list:
+    """round_half_away(x 2^shift + n 2^shift) for the integers x of exact and
+    the floats n of noise: what round_ratio((x d + n') 2^shift, d) gives for
+    n = n' / d, with no big division. f = n 2^shift is an exact float, so
+    (x << shift) + int(f) is an integer and the remainder f - int(f), of f's
+    sign and below 1, is exact; it is rounded half away by the sign of the
+    whole value. When 2^shift or some f overflows the float range, the ratio
+    formula runs instead."""
+    out = []
+    try:
+        fscale = math.ldexp(1.0, shift)
+        for x, n in zip(exact, noise):
+            f = n * fscale
+            whole = int(f)
+            rest = f - whole
+            whole += x << shift
+            if rest:
+                if whole > 0 or (whole == 0 and rest > 0):
+                    whole += (rest >= 0.5) - (rest < -0.5)
+                else:
+                    whole += (rest > 0.5) - (rest <= -0.5)
+            out.append(whole)
+    except OverflowError:
+        scale = 1 << shift
+        return [round_ratio((x * d + n) * scale, d)
+                for x, (n, d) in zip(exact, map(float.as_integer_ratio, noise))]
+    return out
+
+
+def _draws(b_l_star: BasisMatrix, cfg: SamplerConfig, count: int, precision_bits: int):
+    """The sampler's stream: `count` triples (y, mantissas, failed), y the
+    draw's coordinates in the LLL-reduced basis and mantissas the sample at
+    2^-precision_bits. Nothing is checked before the first draw is asked for."""
     m = b_l_star.m
     kb = klein_basis(b_l_star)
     # per level t_i = ||b~_i||^2 / sigma^2 exactly; a level whose half-width
@@ -293,6 +346,9 @@ def sample_dual(
     for t, mu in zip(ratios, kb.mu):
         a, half = math.pi * float(t), 3.0 / math.sqrt(float(t))
         levels.append((a, half, mu, None if any(mu) else _window(a, 0, half, 0)))
+    ready = None
+    if all(window is not None for *_, window in levels):
+        ready = [(lo, cum, cum[-1]) for *_, (lo, cum) in reversed(levels)]
     radius_sq = 9 * cfg.sigma * cfg.sigma * kb.den * kb.den
     bound = radius_sq.numerator // radius_sq.denominator
     if cfg.sigma > _FLOAT_LIMIT:
@@ -310,29 +366,54 @@ def sample_dual(
         # check is immune to float rounding at the boundary
         noise_radius = 0.999 * float(lam_lo) * float(cfg.delta)
 
-    scale = 1 << _check_exponent(precision_bits)
-    cols, transform_cols = list(zip(*kb.rows)), list(zip(*kb.transform))
+    shift = _check_exponent(precision_bits)
+    scale, den = 1 << shift, kb.den
+    cols = list(zip(*kb.rows))
     eta = float(cfg.eta)
     rng = random.Random(cfg.seed)
-    out = []
+    uniform, gauss = rng.random, rng.gauss
     for _ in range(count):
-        y, point = _klein_draw(levels, cols, bound, rng)
-        coords = tuple(sum(map(mul, y, col)) for col in transform_cols)
-        failed = rng.random() < eta
+        y, point = _klein_draw(levels, ready, cols, bound, rng)
+        failed = uniform() < eta
         if failed:
             exact, noise = [0] * m, [rng.uniform(-box, box) for _ in range(m)]
         else:
             exact, noise = point, [0.0] * m
             if noise_radius > 0:
-                gauss = [rng.gauss(0.0, 1.0) for _ in range(m)]
-                gn = math.sqrt(sum(g * g for g in gauss)) or 1.0
-                rad = noise_radius * rng.random() ** (1.0 / m)
-                noise = [rad * g / gn for g in gauss]
-        # x / den plus the float noise n / d taken as exact, rounded once
-        mants = [round_ratio((x * d + n * kb.den) * scale, kb.den * d)
-                 for x, (n, d) in zip(exact, map(float.as_integer_ratio, noise))]
-        out.append(SampleRecord(FixedPointVector(tuple(mants), precision_bits), coords, failed))
-    return out
+                g = [gauss(0.0, 1.0) for _ in range(m)]
+                gn = math.sqrt(sum(x * x for x in g)) or 1.0
+                rad = noise_radius * uniform() ** (1.0 / m)
+                noise = [rad * x / gn for x in g]
+        if den == 1:
+            mants = _integral_mantissas(exact, noise, shift)
+        else:
+            # x / den plus the float noise n / d taken as exact, rounded once
+            mants = [round_ratio((x * d + n * den) * scale, den * d)
+                     for x, (n, d) in zip(exact, map(float.as_integer_ratio, noise))]
+        yield y, mants, failed
+
+
+def sample_dual(
+    b_l_star: BasisMatrix,
+    cfg: SamplerConfig,
+    count: int,
+    precision_bits: int = 64,
+) -> List[SampleRecord]:
+    """Draw `count` simulated sampler outputs near the lattice of b_l_star:
+    points of the 3 sigma ball from the nearest-plane sampler over the
+    LLL-reduced basis, each moved by noise of norm below delta * lambda_1.
+    The exact point plus the float noise, taken as the rational it is, is
+    rounded once: with delta = 0 each coordinate is within 2^-(precision_bits + 1).
+    Each record keeps the draw's coordinates in b_l_star's basis."""
+    transform_cols = list(zip(*klein_basis(b_l_star).transform))
+    return [
+        SampleRecord(
+            FixedPointVector(mants, precision_bits),
+            tuple(sum(map(mul, y, col)) for col in transform_cols),
+            failed,
+        )
+        for y, mants, failed in _draws(b_l_star, cfg, count, precision_bits)
+    ]
 
 
 def verify_sampler_contract(

@@ -4,6 +4,9 @@ sampling and resource estimation, with deterministic seeded replay.
 Exit codes: 0 success, 1 malformed input or usage, 2 insufficient samples
 (retry with a fresh seed), 3 contract violation (index bound exceeded). main
 alone turns errors into exit codes; any other UnitlatError exits 1.
+
+Each command imports the modules it uses in its own body, so `import
+unitlat.cli` loads lattice_core alone.
 """
 
 from __future__ import annotations
@@ -15,24 +18,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bdd_sampler import (
-    SamplerConfig,
-    dump_samples,
-    sample_dual,
-    verify_sampler_contract,
-)
-from .buchmann_pohst import BPParams, bp_reduce, relation_norm_check
-from .lattice_core import BasisMatrix, ConfigurationError, FixedPointVector, UnitlatError, clip
-from .recovery import (
+from .lattice_core import (
+    BasisMatrix,
+    ConfigurationError,
     ContractViolationError,
+    FixedPointVector,
     InsufficientSamplesError,
-    build_cyclotomic_problem,
-    make_planted_problem,
-    recover_baseline,
-    recover_with_retries,
-    regulator_from_basis,
+    UnitlatError,
+    clip,
 )
-from .reduction import OKMatrix, is_reduced, lll_reduce
 
 
 class CLIUsageError(ConfigurationError):
@@ -142,6 +136,14 @@ def _read_config(path: str, cfg: dict) -> tuple:
 
 
 def cmd_recover(args) -> int:
+    from .recovery import (
+        build_cyclotomic_problem,
+        make_planted_problem,
+        recover_baseline,
+        recover_with_retries,
+        regulator_from_basis,
+    )
+
     if args.synthetic:
         _reject_unread(args, "is not read with --synthetic", "precision_bits")
     else:
@@ -213,7 +215,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    from .estimator import (  # here, so that no other command loads it
+    from .estimator import (
         cyclotomic_generic_profile,
         qubit_count_cyclotomic,
         qubit_count_generic,
@@ -240,8 +242,14 @@ def cmd_estimate(args) -> int:
         estimates.append(qubit_count_cyclotomic(args.cyclotomic))
     elif args.kummer:
         n, logd = args.kummer
+        try:
+            n = int(n)
+        except ValueError:
+            raise CLIUsageError(
+                f"argument --kummer: N must be an integer, got {clip(repr(n))}"
+            ) from None
         estimates.append(
-            qubit_count_generic(totally_real_profile(int(n), Fraction(logd)), args.tau_log2)
+            qubit_count_generic(totally_real_profile(n, Fraction(logd)), args.tau_log2)
         )
     else:
         if args.logD is None:
@@ -278,6 +286,8 @@ def _load_json_object(path: str) -> dict:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import OKMatrix, is_reduced, lll_reduce
+
     obj = _load_json_object(args.infile)
     try:  # an OKMatrix if the file names a ring, else a BasisMatrix over Z
         mat = OKMatrix.from_json(obj) if "ring" in obj else BasisMatrix.from_json(obj)
@@ -296,6 +306,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_bp(args) -> int:
+    from .buchmann_pohst import BPParams, bp_reduce, relation_norm_check
+
     obj = _load_json_object(args.infile)
     q = int(obj["q"])
     gens = [FixedPointVector(tuple(int(x) for x in v), q) for v in obj["vectors"]]
@@ -315,6 +327,8 @@ def cmd_bp(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .bdd_sampler import SamplerConfig, dump_samples, sample_dual, verify_sampler_contract
+
     if not args.verify:
         _reject_unread(args, "requires --verify (only the contract check reads it)", "r")
     _fill_defaults(args, r="4")

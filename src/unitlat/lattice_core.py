@@ -45,6 +45,15 @@ class ContainmentError(UnitlatError, ValueError):
     """Claimed sublattice is not contained in the ambient lattice."""
 
 
+class InsufficientSamplesError(UnitlatError, RuntimeError):
+    """The drawn coordinate rows do not span a rank-m lattice; retry with a
+    fresh seed."""
+
+
+class ContractViolationError(UnitlatError, RuntimeError):
+    """Recovered index exceeds the promised bound."""
+
+
 def clip(value) -> str:
     """str(value) for an error message, cut after 40 characters."""
     text = str(value)

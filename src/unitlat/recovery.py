@@ -16,41 +16,26 @@ from typing import Optional
 
 from .bdd_sampler import (
     SamplerConfig,
-    babai_bdd,
+    _draws,
+    babai_round,
     gpv_sigma,
     lambda1_sq_bracket,
     sample_dual,
 )
-from .buchmann_pohst import BPParams, bp_reduce, ceil_log2
-from .cyclotomic import (
-    CyclotomicField,
-    cyclotomic_unit_generators,
-    generator_exponents,
-    log_embedding,
-    orbit_unit_exponents,
-)
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
+    ContractViolationError,
     FixedPointVector,
+    InsufficientSamplesError,
     PrecisionError,
     Record,
-    UnitlatError,
     norm_sq,
     op_norm_two_sq,
     sqrt_lower,
     sqrt_upper,
 )
 from .reduction import hnf, hnf_rational, snf
-
-
-class InsufficientSamplesError(UnitlatError, RuntimeError):
-    """The drawn coordinate rows do not span a rank-m lattice; retry with a
-    fresh seed."""
-
-
-class ContractViolationError(UnitlatError, RuntimeError):
-    """Recovered index exceeds the promised bound."""
 
 
 class RecoveryProblem(Record):
@@ -110,12 +95,33 @@ def _sample_count(problem: "RecoveryProblem", k: Optional[int]) -> int:
 
 
 class RecoveryResult(Record):
-    b_l: BasisMatrix
+    """The recovered lattice L, with [L : M] and the invariant factors.
+
+    B_L is kept packed: its integer entries row after row in one flat tuple
+    over the denominator b_l_den, with b_l_det = det of those integers, and
+    b_l is a BasisMatrix built from them on each access. A kept planted
+    result is then about 0.4 KB; with a tuple per row it was 0.7 KB.
+    """
+
+    b_l_den: int
+    b_l_entries: tuple
+    b_l_det: int
     b_m: BasisMatrix  # the problem's own, shared, not a copy
     index: int
     samples_used: int
     invariant_factors: tuple
     failed_samples: int
+
+    @classmethod
+    def of(cls, b_l: BasisMatrix, b_m: BasisMatrix, index, samples_used, factors, failed):
+        entries = tuple([x for row in b_l.ints for x in row])
+        return cls(b_l.den, entries, b_l._det, b_m, index, samples_used, factors, failed)
+
+    @property
+    def b_l(self) -> BasisMatrix:
+        m, entries = self.b_m.m, self.b_l_entries
+        rows = [entries[i:i + m] for i in range(0, m * m, m)]
+        return BasisMatrix._with_det(self.b_l_den, rows, self.b_l_det)
 
     @property
     def w_hnf(self) -> tuple:
@@ -134,18 +140,20 @@ def recover_with_sublattice(problem: RecoveryProblem, k: int = None) -> Recovery
     Every sample is rounded to the nearest point of M*, giving exact integer
     coordinate rows; their HNF is a basis W of L* in the M*-frame, the index
     [L : M] = det W is the product of its diagonal, the SNF of W gives the
-    invariant factors, and B_L = (W^t)^-1 B_M.
+    invariant factors, and B_L = (W^t)^-1 B_M. The samples are rounded as
+    they are drawn: babai_bdd's rounding of sample_dual's stream, with no
+    sample record kept.
     """
-    m = problem.b_m.m
+    b_m = problem.b_m
+    m = b_m.m
     k = _sample_count(problem, k)
-    samples = sample_dual(problem.hidden_dual, problem.sampler, k, problem.precision_bits)
-
+    bits = problem.precision_bits
+    ints, scale = b_m.ints, b_m.den << bits
     coord_rows = []
     failed = 0
-    for s in samples:
-        if s.failed:
-            failed += 1
-        coord_rows.append(list(babai_bdd(s.y_tilde, problem.b_m)))
+    for _, mants, bad in _draws(problem.hidden_dual, problem.sampler, k, bits):
+        failed += bad
+        coord_rows.append(babai_round(ints, mants, scale))
 
     h = hnf(coord_rows)
     if len(h) < m:
@@ -162,8 +170,8 @@ def recover_with_sublattice(problem: RecoveryProblem, k: int = None) -> Recovery
             f"recovered index {index} exceeds the bound {problem.index_bound}"
         )
     # L* = W . M* in coordinates, so B_L* = W B_M* and B_L = (W^t)^-1 B_M
-    b_l = w.dual().matmul(problem.b_m)
-    return RecoveryResult(b_l, problem.b_m, index, k, factors, failed)
+    b_l = w.dual().matmul(b_m)
+    return RecoveryResult.of(b_l, b_m, index, k, factors, failed)
 
 
 def recover_with_retries(problem: RecoveryProblem, k: int = None) -> RecoveryResult:
@@ -206,6 +214,8 @@ def recover_baseline(problem: RecoveryProblem, k: int = None) -> BaselineResult:
     upper end of lambda1_sq_dual. When those bits cannot meet q the result is
     an infeasibility report carrying the required q, and no sample is drawn.
     """
+    from .buchmann_pohst import BPParams, bp_reduce, ceil_log2
+
     if problem.dual_det_bound is None:
         raise ConfigurationError("baseline needs an upper bound on det L*")
     m = problem.b_m.m
@@ -263,6 +273,15 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     read; its bounds: unit-lattice minima are bounded below by a constant
     and the covolume by the generator norms.
     """
+    from .buchmann_pohst import BPParams, bp_reduce
+    from .cyclotomic import (
+        CyclotomicField,
+        cyclotomic_unit_generators,
+        generator_exponents,
+        log_embedding,
+        orbit_unit_exponents,
+    )
+
     field = CyclotomicField(m)
     rank = field.unit_rank
     if rank == 0:

@@ -558,6 +558,59 @@ class TestSampler:
         assert abs(rate - 0.25) < 0.03
 
 
+@st.composite
+def integral_mantissa_cases(draw):
+    """(x, n, shift): an integer lattice coordinate, a float noise and a
+    precision. The noise is any finite float (subnormals and signed zeros
+    included), an exact half tie of n 2^shift of either sign, a value with
+    |n 2^shift| >= 2^52, or, with shift at 960 and up, one whose n 2^shift
+    leaves the float range (2^shift itself does from 1024)."""
+    kind = draw(st.sampled_from(("any", "tie", "large", "overflow")))
+    x = draw(st.integers(-(2**70), 2**70) | st.integers(-3, 3))
+    if kind == "overflow":
+        shift = draw(st.integers(960, 1100))
+        n = draw(st.floats(min_value=2.0**60, max_value=1e300)) * draw(st.sampled_from((1, -1)))
+        return x, n, shift
+    shift = draw(st.integers(0, 200))
+    if kind == "tie":
+        shift = min(shift, 60)
+        odd = 2 * draw(st.integers(0, 2**40)) + 1
+        return x, math.ldexp(draw(st.sampled_from((1, -1))) * odd, -(shift + 1)), shift
+    if kind == "large":
+        mag = draw(st.integers(52, 200))
+        n = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), mag - shift)
+        return x, n * draw(st.sampled_from((1, -1))), shift
+    n = draw(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, -0.5)
+    ))
+    return x, n, shift
+
+
+class TestIntegralMantissas:
+    """The mantissa path of integral bases (kb.den == 1) against the ratio
+    formula every basis used before it."""
+
+    @given(integral_mantissa_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_round_ratio(self, case):
+        x, n, shift = case
+        num, den = n.as_integer_ratio()
+        expected = round_ratio((x * den + num) << shift, den)
+        assert bdd_sampler._integral_mantissas([x], [n], shift) == [expected]
+
+    def test_ties_round_away_by_the_whole_value(self):
+        """x + n = 1.5, 0.5, -0.5 and -1.5 at shift 0: the remainder's sign
+        alone would round 1 - 1/2 and -1 + 1/2 the wrong way."""
+        got = bdd_sampler._integral_mantissas([1, 1, 0, -1, -1], [0.5, -0.5, -0.5, 0.5, -0.5], 0)
+        assert got == [2, 1, -1, -1, -2]
+
+    def test_overflow_falls_back(self):
+        """2^1100 is no float, and 1e300 * 2^100 is none either."""
+        assert bdd_sampler._integral_mantissas([1], [0.25], 1100) == [(1 << 1100) + (1 << 1098)]
+        n = 1e300
+        assert bdd_sampler._integral_mantissas([0], [n], 100) == [int(n) << 100]
+
+
 class TestNearestPlaneAgainstReference:
     """The nearest-plane sampler on seeded non-symmetric rational bases of
     dims 2-4, at sigma = the GPV bound of the LLL-reduced basis."""

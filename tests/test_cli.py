@@ -24,8 +24,9 @@ def run_cli(args, capsys):
 
 
 def shrink_index_bound(monkeypatch):
-    """Planted problems promise index 1, whatever index they hide."""
-    import unitlat.cli as cli_mod
+    """Planted problems promise index 1, whatever index they hide. cli
+    imports make_planted_problem when recover runs, so the patch is on
+    recovery."""
     import unitlat.recovery as rec
 
     orig = rec.make_planted_problem
@@ -33,7 +34,7 @@ def shrink_index_bound(monkeypatch):
     def shrunk(dim, index=1, seed=0, **kw):
         return orig(dim, index, seed, **kw).replace(index_bound=1)
 
-    monkeypatch.setattr(cli_mod, "make_planted_problem", shrunk)
+    monkeypatch.setattr(rec, "make_planted_problem", shrunk)
 
 
 def ok_json(ring, entries):
@@ -433,6 +434,10 @@ class TestExitCodes:
          "error: signature must be nonnegative, got (-3, 0)\n"),
         ("estimate-kummer-degree-0", ["estimate", "--kummer", "0", "5"], 1,
          "error: degree must be at least 2\n"),
+        ("estimate-kummer-fraction-degree", ["estimate", "--kummer", "3/2", "5"], 1,
+         "usage error: argument --kummer: N must be an integer, got '3/2'\n"),
+        ("estimate-kummer-exponent-degree", ["estimate", "--kummer", "1e3", "5"], 1,
+         "usage error: argument --kummer: N must be an integer, got '1e3'\n"),
         ("estimate-compare-conductor-0", ["estimate", "--cyclotomic", "0", "--compare"], 1,
          "error: conductor must be at least 3"),
         ("estimate-compare-conductor-negative",
@@ -624,16 +629,37 @@ class TestEntryPoint:
     def test_cold_import_loads_no_record_machinery(self):
         """`recover` pays the CLI's import in every fresh interpreter. The
         records generate no code, so neither dataclasses nor inspect (nor
-        ast, dis or tokenize, which they import) is loaded, and the
-        estimator, with csv, loads only for `estimate`. pytest itself imports
-        dataclasses, hence the child interpreter."""
-        guarded = ["ast", "csv", "dataclasses", "dis", "inspect", "tokenize", "unitlat.estimator"]
-        code = f"import sys, unitlat.cli; print(sorted(set({guarded!r}) & set(sys.modules)))"
+        ast, dis or tokenize, which they import) is loaded. Each command
+        imports what it uses, so of unitlat only lattice_core, with the
+        error classes, loads with the CLI; the estimator, with csv, loads
+        only for `estimate`. pytest itself imports dataclasses, hence the
+        child interpreter."""
+        guarded = ["ast", "csv", "dataclasses", "dis", "inspect", "tokenize"]
+        code = (
+            f"import sys, unitlat.cli; print(sorted(set({guarded!r}) & set(sys.modules)), "
+            "sorted(m for m in sys.modules if m.startswith('unitlat')))"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip() == "[] ['unitlat', 'unitlat.cli', 'unitlat.lattice_core']"
+
+    def test_planted_recover_loads_no_cyclotomic_code(self):
+        """A planted recovery imports recovery and what it draws and reduces
+        with, but neither the cyclotomic field code nor bp_reduce."""
+        code = (
+            "import sys, unitlat.cli\n"
+            "rc = unitlat.cli.main(['recover', '--synthetic', '--dim', '3', '--index', '2',"
+            " '--k', '36'])\n"
+            "print(rc, sorted({'unitlat.cyclotomic', 'unitlat.buchmann_pohst'} & set(sys.modules)),"
+            " 'unitlat.recovery' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == "0 [] True"
 
     def test_cyclotomic_recover_loads_no_mpmath(self):
         """The certified log table is integer arithmetic: a whole cyclotomic

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from test_regulator_oracle import group_determinant_regulator
-from unitlat import recovery
+from unitlat import buchmann_pohst
 from unitlat.buchmann_pohst import bp_reduce
 from unitlat.cli import main
 from unitlat.recovery import cyclotomic_log_basis, regulator_from_basis
@@ -83,7 +83,8 @@ def test_bp_basis_coordinates_stay_short(m, monkeypatch):
         results.append(bp_reduce(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(recovery, "bp_reduce", spy)
+    # cyclotomic_log_basis imports bp_reduce when it runs
+    monkeypatch.setattr(buchmann_pohst, "bp_reduce", spy)
     cyclotomic_log_basis(m, 128)
     coords = [c.a for row in results[0].basis_coords for c in row]
     assert all(c.denominator == 1 for c in coords)

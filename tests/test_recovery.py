@@ -2,19 +2,29 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from test_bdd_sampler import reference_sample_dual
 from test_lattice_core import fractions_in
-from unitlat import recovery
+from unitlat import bdd_sampler, recovery
 from unitlat.bdd_sampler import (
     SamplerConfig,
     babai_bdd,
     gpv_sigma,
+    lambda1_sq_bracket,
     sample_dual,
     verify_sampler_contract,
 )
 from unitlat.enumeration import shortest_vector_sq
-from unitlat.lattice_core import BasisMatrix, ConfigurationError, op_norm_two_sq, sqrt_upper
+from unitlat.lattice_core import (
+    BasisMatrix,
+    ConfigurationError,
+    RankError,
+    UnitlatError,
+    op_norm_two_sq,
+    sqrt_upper,
+)
 from unitlat.recovery import (
     ContractViolationError,
     InsufficientSamplesError,
@@ -30,7 +40,7 @@ from unitlat.recovery import (
     recover_with_sublattice,
     regulator_from_basis,
 )
-from unitlat.reduction import hnf, hnf_rational
+from unitlat.reduction import hnf, hnf_rational, snf
 
 F = Fraction
 GOLDEN_LOG = math.log((1 + math.sqrt(5)) / 2)
@@ -70,8 +80,12 @@ class TestPlantedRecovery:
                 assert lattices_equal(r.b_l, BasisMatrix.identity(2))
             return count
 
+        def reference_draws(b_l_star, cfg, count, precision_bits):
+            samples = reference_sample_dual(b_l_star, cfg, count, precision_bits)
+            return ((None, s.y_tilde.mantissas, s.failed) for s in samples)
+
         nearest_plane = failures()
-        monkeypatch.setattr(recovery, "sample_dual", reference_sample_dual)
+        monkeypatch.setattr(recovery, "_draws", reference_draws)
         assert nearest_plane <= failures()
 
     def test_index_two_50_seeds(self):
@@ -96,22 +110,26 @@ class TestPlantedRecovery:
         assert sublattice_index(p.b_m, r.b_l) == r.index
 
     def test_result_keeps_no_fraction(self):
-        """A kept RecoveryResult holds integers only: b_l stores integer rows
-        over one denominator, and reading its Fraction rows (as the
-        benchmark's oracle does) caches nothing on it. Its b_m is the
-        problem's own, and W is not stored: w_hnf is built on each access,
-        equals the HNF of the samples' Babai rows and leaves nothing cached."""
-        assert "w_hnf" not in RecoveryResult._fields
+        """A kept RecoveryResult holds integers only, and no matrix but the
+        problem's own b_m: B_L is packed as one flat tuple of integer
+        entries over one denominator. b_l and w_hnf are built on each access,
+        and reading b_l's Fraction rows (as the benchmark's oracle does)
+        leaves nothing cached; w_hnf equals the HNF of the samples' Babai
+        rows."""
+        assert not {"b_l", "w_hnf"} & set(RecoveryResult._fields)
         for dim, index in ((2, 1), (4, 6), (6, 12)):
             problem = make_planted_problem(dim, index, seed=5)
             r = recover_with_retries(problem, k=12 * dim)
             assert r.index == index
             assert r.b_m is problem.b_m
-            fields = (r.b_l, r.b_m, r.w_hnf, r.invariant_factors, r.index, r.samples_used)
-            assert fractions_in(fields) == 0
+            kept = r._values()
+            assert fractions_in(kept) == 0
+            assert [v for v in kept if isinstance(v, BasisMatrix)] == [problem.b_m]
+            assert len(r.b_l_entries) == dim * dim
+            assert all(type(x) is int for x in r.b_l_entries)
             assert all(x.denominator == 1 for row in r.b_l.rows for x in row)
-            assert fractions_in(fields) == 0
-            assert "w_hnf" not in vars(r) and r.b_l._dual is None
+            assert fractions_in((r.b_l, r.w_hnf)) == 0
+            assert r._values() == kept and not {"b_l", "w_hnf"} & set(vars(r))
             samples = sample_dual(problem.hidden_dual, problem.sampler, 12 * dim)
             h = hnf([list(babai_bdd(s.y_tilde, problem.b_m)) for s in samples])
             assert r.w_hnf == tuple(map(tuple, h))
@@ -148,6 +166,96 @@ class TestPlantedRecovery:
 
         with pytest.raises(ContractViolationError):
             recover_with_retries(shrunk, k=16)
+
+
+def reference_recover(problem, k):
+    """recover_with_sublattice as the composition it fuses: sample_dual's
+    records, babai_bdd on each, then HNF, SNF and the dual of W."""
+    m = problem.b_m.m
+    samples = sample_dual(problem.hidden_dual, problem.sampler, k, problem.precision_bits)
+    h = hnf([list(babai_bdd(s.y_tilde, problem.b_m)) for s in samples])
+    if len(h) < m:
+        raise InsufficientSamplesError(
+            f"coordinate rows span rank {len(h)} < {m}; retry with a fresh seed"
+        )
+    index = math.prod(h[i][i] for i in range(m))
+    if index > problem.index_bound:
+        raise ContractViolationError(
+            f"recovered index {index} exceeds the bound {problem.index_bound}"
+        )
+    b_l = BasisMatrix(h).dual().matmul(problem.b_m)
+    failed = sum(s.failed for s in samples)
+    return RecoveryResult.of(b_l, problem.b_m, index, k, tuple(snf(h)), failed)
+
+
+def outcome(recover, problem, k):
+    """The result, or the type and message of the error raised."""
+    try:
+        return recover(problem, k)
+    except UnitlatError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fused_cases(draw):
+    """(problem, k): a random dual basis of dim 1-4, rational (so that the
+    reduced basis keeps a denominator) or integral, non-diagonal so that
+    its Gram-Schmidt mu rows are mostly nonzero; M = U L for a random
+    integer U of |det| <= 12; delta = 0 or half the Babai budget, eta
+    = 0, 1/10 or 1/4 and sigma a half, one or two times the GPV width."""
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+    else:
+        entry = st.integers(-5, 5).map(F)
+    square = lambda e: st.lists(st.lists(e, min_size=m, max_size=m), min_size=m, max_size=m)
+    try:
+        hidden_dual = BasisMatrix(draw(square(entry)))
+        u = BasisMatrix(draw(square(st.integers(-2, 2).map(F))))
+    except RankError:
+        assume(False)
+    index = abs(u.det())
+    assume(index <= 12)
+    b_m = u.matmul(hidden_dual.dual())
+    lam_sq = lambda1_sq_bracket(hidden_dual)
+    budget = 1 / (4 * sqrt_upper(op_norm_two_sq(b_m)) * sqrt_upper(lam_sq[1]))
+    cfg = SamplerConfig(
+        delta=draw(st.sampled_from((F(0), min(F(1, 4), budget)))),
+        r=1,
+        eta=draw(st.sampled_from((F(0), F(1, 10), F(1, 4)))),
+        sigma=gpv_sigma(hidden_dual) * draw(st.sampled_from((F(1, 2), F(1), F(2)))),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    problem = RecoveryProblem(
+        b_m=b_m,
+        hidden_dual=hidden_dual,
+        sampler=cfg,
+        index_bound=index,
+        det_l_bound=abs(hidden_dual.dual().det()),
+        lambda1_sq_dual=lam_sq,
+        precision_bits=draw(st.sampled_from((53, 64, 96))),
+    )
+    return problem, draw(st.integers(2 * m, 12 * m))
+
+
+class TestFusedRecovery:
+    @given(fused_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_reference_composition(self, case):
+        """Rounding each draw as it comes gives the result (or the error)
+        of sample_dual, then babai_bdd per sample, then HNF/SNF/dual."""
+        problem, k = case
+        assert outcome(recover_with_sublattice, problem, k) == outcome(
+            reference_recover, problem, k
+        )
+
+    def test_keeps_no_sample_record(self, monkeypatch):
+        """The recovery reads the draw stream: neither sample_dual nor
+        babai_bdd runs."""
+        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        monkeypatch.setattr(bdd_sampler, "babai_bdd", no_sampling)
+        res = recover_with_retries(make_planted_problem(3, 4, seed=2), k=36)
+        assert res.index == 4
 
 
 class TestCyclotomicRecovery:
