@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     "BasisMatrix": "lattice_core",
     "FixedPointVector": "lattice_core",
-    "op_norm": "lattice_core",
     "sublattice_index": "lattice_core",
     "RingDescriptor": "rings",
     "RingElement": "rings",

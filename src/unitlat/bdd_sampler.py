@@ -3,20 +3,22 @@
 The sampler draws a dual point from the discrete Gaussian of width sigma
 truncated to the ball of radius 3 sigma, perturbs it inside a ball of radius
 delta times (a lower bound on) lambda_1 of the dual, and injects outright
-failures with a configured probability. Each record keeps the planted
-ground-truth point so statistical contracts can be verified after the fact.
+failures with a configured probability. Each record of sample_dual keeps the
+planted ground-truth point so statistical contracts can be verified after
+the fact; the contract check takes the concentration radius it tests.
 
 One private generator, _draws, makes the stream. Per sample it yields
 (y, mantissas, failed): the draw's coordinates in the reduced basis, the
 sample's fixed-point mantissas and the failure flag, from one seeded rng
 whose calls come in a fixed order. sample_dual wraps it into SampleRecords,
-with ground-truth coordinates from y. recover_with_sublattice reads it
-directly and rounds each mantissa vector with babai_round, the rounding
-babai_bdd does, so a recovery builds no record. Two exact shortcuts are
-chosen from the input: over an integral reduced basis the mantissas come
-from the float noise times 2^precision_bits without a big division
-(_integral_mantissas), and when every mu row is zero a draw is m bisections
-over windows built once.
+with ground-truth coordinates from y, for the sample command. Both recovery
+pipelines read the stream directly: recover_with_sublattice rounds each
+mantissa vector with babai_round, the rounding babai_bdd does, and
+recover_baseline keeps the mantissas, so a recovery builds no record. Two
+exact shortcuts are chosen from the input: over an integral reduced basis
+the mantissas come from the float noise times 2^precision_bits without a big
+division (_integral_mantissas), and when every mu row is zero a draw is m
+bisections over windows built once.
 
 The draw is Klein's nearest-plane sampler over the LLL-reduced basis (Klein,
 SODA 2000; Gentry-Peikert-Vaikuntanathan, STOC 2008), one 1-D Gaussian per
@@ -25,10 +27,10 @@ Its cost is polynomial in the dimension: nothing enumerates the ball. Above
 the GPV width (gpv_sigma) its law is within O(n eps) of the truncated
 discrete Gaussian; below it the draws still lie in the ball.
 
-The same LLL gives lambda1_sq_bracket, lo <= lambda_1^2 <= hi from the
-reduced rows' integer Gram data: exact (enumerated, no second LLL) up to
-ENUMERATION_DIM_LIMIT, a pair of bounds above it. The noise radius and the
-contract check read lo; the Babai hypothesis of the recovery reads hi.
+The same LLL gives klein_basis(b).lam_sq_bracket, lo <= lambda_1^2 <= hi
+from the reduced rows' integer Gram data: exact (enumerated, no second LLL)
+up to ENUMERATION_DIM_LIMIT, a pair of bounds above it. The noise radius and
+the contract check read lo; the Babai hypothesis of the recovery reads hi.
 """
 
 from __future__ import annotations
@@ -64,20 +66,17 @@ class SamplerConfig(Record):
     """Parameters of the simulated dual lattice sampler.
 
     delta: noise radius as a fraction of lambda_1 of the dual lattice.
-    r: concentration radius the emitted points are supposed to stay inside.
     eta: probability of replacing a sample by garbage (failure injection).
     sigma: width of the Gaussian weights on the dual points.
     """
 
     delta: Fraction
-    r: Fraction
     eta: Fraction
     sigma: Fraction
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
-        object.__setattr__(self, "r", Fraction(self.r))
         object.__setattr__(self, "eta", Fraction(self.eta))
         object.__setattr__(self, "sigma", Fraction(self.sigma))
         if not 0 <= self.delta < Fraction(1, 2):
@@ -107,21 +106,9 @@ class SampleRecord(Record):
             "failed": self.failed,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SampleRecord":
-        return cls(
-            FixedPointVector.from_json(obj["y"]),
-            tuple(int(c) for c in obj["gt"]),
-            bool(obj["failed"]),
-        )
-
 
 def dump_samples(samples: Sequence[SampleRecord]) -> str:
     return "\n".join(json.dumps(s.to_json(), sort_keys=True) for s in samples)
-
-
-def load_samples(text: str) -> list:
-    return [SampleRecord.from_json(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
 def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
@@ -169,7 +156,11 @@ class KleinBasis(Record):
     integers. gs_norm_sq[i] = ||b~_i||^2 exactly, and mu[i][j - i - 1] =
     mu_ji (j > i) are floats of R's Gram-Schmidt coefficients (|mu_ji| <= 1/2
     after size reduction). lam_sq_bracket = (lo, hi) with
-    lo <= lambda_1^2 <= hi, see lambda1_sq_bracket.
+    lo <= lambda_1^2 <= hi, both exact rationals. Up to ENUMERATION_DIM_LIMIT,
+    lo = hi = lambda_1^2, enumerated over R. Above it, lo = min_i ||r~_i||^2:
+    if x_j is the last nonzero coordinate of v = sum x_i r_i, v's component
+    along r~_j is x_j r~_j, so ||v|| >= ||r~_j||; and hi is the least squared
+    row norm of R, a nonzero lattice vector.
     """
 
     den: int
@@ -203,18 +194,6 @@ def klein_basis(basis: BasisMatrix) -> KleinBasis:
         ),
         lam_sq_bracket=(lo, hi),
     )
-
-
-def lambda1_sq_bracket(basis: BasisMatrix) -> tuple:
-    """(lo, hi) with lo <= lambda_1^2 <= hi, both exact rationals.
-
-    Up to ENUMERATION_DIM_LIMIT, lo = hi = lambda_1^2, enumerated over the
-    LLL-reduced basis. Above it, lo = min_i ||r~_i||^2 over the reduced
-    basis R: if x_j is the last nonzero coordinate of v = sum x_i r_i, v's
-    component along r~_j is x_j r~_j, so ||v|| >= ||r~_j||; and hi is the
-    least squared row norm of R, a nonzero lattice vector.
-    """
-    return klein_basis(basis).lam_sq_bracket
 
 
 def gpv_sigma(basis: BasisMatrix) -> Fraction:
@@ -420,25 +399,26 @@ def verify_sampler_contract(
     samples: Sequence[SampleRecord],
     b_l_star: BasisMatrix,
     cfg: SamplerConfig,
+    r: Fraction,
 ) -> dict:
     """Empirical check of the uniformity / concentration / coverage contracts.
 
     uniformity_margin is the largest empirical mass landing in any index-2
     sublattice of the dual (must stay below 1/2 + 1/4 up to Monte Carlo
     tolerance); concentration_mass is the fraction of planted points inside the
-    configured radius r; coverage is the fraction of samples that really lie
+    concentration radius r; coverage is the fraction of samples that really lie
     within delta*lambda_1 of their planted point.
     """
     n = len(samples)
     if n == 0:
         raise ValueError("no samples to verify")
     m = b_l_star.m
-    lam_sq_lo, _ = lambda1_sq_bracket(b_l_star)
+    lam_sq_lo, _ = klein_basis(b_l_star).lam_sq_bracket
     radius_sq = Fraction(cfg.delta) ** 2 * lam_sq_lo
 
     covered = 0
     inside_r = 0
-    r_sq = Fraction(cfg.r) ** 2
+    r_sq = Fraction(r) ** 2
     parity_counts = {u: 0 for u in product((0, 1), repeat=m) if any(u)}
     for s in samples:
         point = b_l_star.row_combination(s.ground_truth_coords)

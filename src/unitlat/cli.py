@@ -111,6 +111,15 @@ def _dump(args, obj: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(path: str, key: str, value) -> int:
+    """value, if it is a JSON integer: a float is not truncated, true is not 1."""
+    if type(value) is not int:
+        raise ConfigurationError(
+            f"{path}: {key} must be a JSON integer, got {clip(json.dumps(value))}"
+        )
+    return value
+
+
 def _read_config(path: str, cfg: dict) -> tuple:
     """(mode, instance) of a recover config. It holds mode, instance and seed,
     and the instance conductor, or dim and an optional index; any other key
@@ -128,10 +137,7 @@ def _read_config(path: str, cfg: dict) -> tuple:
     if unread:
         raise ConfigurationError(f"{path}: keys not read: {clip(unread)}")
     for key, value in dict(inst, seed=cfg.get("seed", 0)).items():
-        if type(value) is not int:
-            raise ConfigurationError(
-                f"{path}: {key} must be a JSON integer, got {clip(json.dumps(value))}"
-            )
+        _json_int(path, key, value)
     return mode, inst
 
 
@@ -285,14 +291,22 @@ def _load_json_object(path: str) -> dict:
     return obj
 
 
+def _parse_matrix(path: str, parse, obj: dict):
+    """parse(obj), the matrix of a file's JSON object; wrong JSON types and a
+    zero denominator are input errors."""
+    try:
+        return parse(obj)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ConfigurationError(f"{path}: malformed matrix entries ({exc})") from None
+
+
 def cmd_reduce(args) -> int:
     from .reduction import OKMatrix, is_reduced, lll_reduce
 
     obj = _load_json_object(args.infile)
-    try:  # an OKMatrix if the file names a ring, else a BasisMatrix over Z
-        mat = OKMatrix.from_json(obj) if "ring" in obj else BasisMatrix.from_json(obj)
-    except (TypeError, ZeroDivisionError) as exc:  # wrong JSON types, a zero denominator
-        raise ConfigurationError(f"{args.infile}: malformed matrix entries ({exc})") from None
+    # an OKMatrix if the file names a ring, else a BasisMatrix over Z
+    parse = OKMatrix.from_json if "ring" in obj else BasisMatrix.from_json
+    mat = _parse_matrix(args.infile, parse, obj)
     delta = Fraction(args.delta)
     reduced, transform = lll_reduce(mat, delta)
     out = {
@@ -308,9 +322,14 @@ def cmd_reduce(args) -> int:
 def cmd_bp(args) -> int:
     from .buchmann_pohst import BPParams, bp_reduce, relation_norm_check
 
-    obj = _load_json_object(args.infile)
-    q = int(obj["q"])
-    gens = [FixedPointVector(tuple(int(x) for x in v), q) for v in obj["vectors"]]
+    path = args.infile
+    obj = _load_json_object(path)
+    q = _json_int(path, "q", obj["q"])
+    gens = [FixedPointVector([_json_int(path, "vectors entry", x) for x in v], q)
+            for v in obj["vectors"]]
+    for key in ("mu", "D"):
+        if type(obj[key]) is bool:  # Fraction(True) is 1
+            raise ConfigurationError(f"{path}: {key} must be a rational, not a boolean")
     params = BPParams(mu=Fraction(obj["mu"]), D=Fraction(obj["D"]))
     result = bp_reduce(gens, params)
     out = {
@@ -332,10 +351,9 @@ def cmd_sample(args) -> int:
     if not args.verify:
         _reject_unread(args, "requires --verify (only the contract check reads it)", "r")
     _fill_defaults(args, r="4")
-    dual = BasisMatrix.from_json(_load_json_object(args.dual))
+    dual = _parse_matrix(args.dual, BasisMatrix.from_json, _load_json_object(args.dual))
     cfg = SamplerConfig(
         delta=Fraction(args.delta),
-        r=Fraction(args.r),
         eta=Fraction(args.eta),
         sigma=Fraction(args.sigma),
         seed=args.seed,
@@ -343,7 +361,7 @@ def cmd_sample(args) -> int:
     samples = sample_dual(dual, cfg, args.count, args.precision_bits)
     text = dump_samples(samples)
     if args.verify:
-        report = verify_sampler_contract(samples, dual, cfg)
+        report = verify_sampler_contract(samples, dual, cfg, Fraction(args.r))
         _emit(args, text + "\n" + json.dumps({"contract": report}, sort_keys=True))
     else:
         _emit(args, text)

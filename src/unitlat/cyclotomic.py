@@ -68,10 +68,6 @@ class CyclotomicField(Record):
         return self.degree // 2 - 1
 
     @property
-    def torsion_order(self) -> int:
-        return self.m if self.m % 2 == 0 else 2 * self.m
-
-    @property
     def embedding_representatives(self) -> tuple:
         """One representative a per pair {a, -a} in (Z/mZ)*."""
         reps = [

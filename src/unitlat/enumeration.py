@@ -26,7 +26,7 @@ ENUMERATION_DIM_LIMIT = 8
 
 def _walk(d: list, lam: list, bound: int) -> Iterator[tuple]:
     """Yield (x, n) for every integer x with n = ||x N||^2 <= bound, where
-    (d, lam) = gram_data(N); order as in coords_in_ball.
+    (d, lam) = gram_data(N); order as in lattice_points_in_ball.
 
     With t_i = d_{i+1} x_i + sum_{j>i} lam_ji x_j, the norm is
     ||x N||^2 = sum_i t_i^2 / (d_i d_{i+1}). The scaled tail
@@ -58,27 +58,21 @@ def _walk(d: list, lam: list, bound: int) -> Iterator[tuple]:
     yield from descend(m - 1, 0)
 
 
-def coords_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> Iterator[tuple]:
-    """Yield (x, n) for every integer x with ||x @ B||^2 <= radius_sq, where
-    n = D^2 ||x @ B||^2 is an exact integer and D = basis.den.
+def lattice_points_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> list:
+    """All (x, n) for the integer x with ||x @ B||^2 <= radius_sq, where
+    n = D^2 ||x @ B||^2 is an exact integer and D = basis.den: the lattice
+    points of norm_sq <= radius_sq with their exact squared norms n / D^2.
 
     Includes the zero vector. Order: level m-1 first and x_i ascending at every
     level, i.e. ascending in the reversed tuple (x_{m-1}, ..., x_0). The walk
-    is exact: a point is emitted iff n <= floor(radius_sq D^2).
+    is exact: a point is listed iff n <= floor(radius_sq D^2).
     """
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
-        return
+        return []
     den = basis.den
     bound = radius_sq.numerator * den * den // radius_sq.denominator
-    yield from _walk(*gram_data(basis.ints), bound)
-
-
-def lattice_points_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> list:
-    """All (coords, n) pairs of coords_in_ball, in its order: the lattice
-    points of norm_sq <= radius_sq, zero included, with their exact squared
-    norms n / basis.den**2."""
-    return list(coords_in_ball(basis, radius_sq))
+    return list(_walk(*gram_data(basis.ints), bound))
 
 
 def _shortest_sq(den: int, rows: list, d: list, lam: list) -> Fraction:

@@ -242,10 +242,6 @@ class FixedPointVector(Record):
         d = 1 << self.exponent
         return tuple(Fraction(m, d) for m in self.mantissas)
 
-    def to_floats(self) -> tuple:
-        d = float(1 << self.exponent)
-        return tuple(m / d for m in self.mantissas)
-
     @classmethod
     def from_rationals(cls, values: Iterable[Fraction], exponent: int) -> "FixedPointVector":
         d = 1 << _check_exponent(exponent)
@@ -253,10 +249,6 @@ class FixedPointVector(Record):
 
     def to_json(self) -> dict:
         return {"q": self.exponent, "mantissas": [str(m) for m in self.mantissas]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FixedPointVector":
-        return cls(tuple(int(m) for m in obj["mantissas"]), int(obj["q"]))
 
 
 class BasisMatrix:
@@ -381,17 +373,21 @@ class BasisMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BasisMatrix":
+        """The matrix of to_json's object. An m that is not a JSON integer and
+        an entry that is a boolean raise TypeError, as other wrong entry types
+        do: a float m is not truncated, true is not 1."""
+        m = obj["m"]
+        if type(m) is not int:
+            raise TypeError(f"m must be a JSON integer, got {clip(json.dumps(m))}")
+        if any(type(x) is bool for row in obj["rows"] for x in row):
+            raise TypeError("rows entries must be integers or rational strings, not booleans")
         rows = [[_to_frac(x) for x in row] for row in obj["rows"]]
-        if len(rows) != int(obj["m"]):
+        if len(rows) != m:
             raise ValueError("row count does not match declared dimension")
         return cls(rows)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, s: str) -> "BasisMatrix":
-        return cls.from_json(json.loads(s))
 
 
 def integer_rows(rows) -> tuple:
@@ -471,11 +467,6 @@ def gram_data(rows) -> tuple:
         if d[k + 1] == 0:
             raise RankError("rows are dependent over the ring's fraction field")
     return d, lam
-
-
-def op_norm(basis: BasisMatrix) -> Fraction:
-    """The (inf, 1) operator norm: max over columns of the column absolute sum."""
-    return Fraction(max(sum(map(abs, col)) for col in zip(*basis.ints)), basis.den)
 
 
 def op_norm_two_sq(basis: BasisMatrix) -> Fraction:

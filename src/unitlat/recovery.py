@@ -6,6 +6,12 @@ integer coordinates) and the baseline route (feed the raw noisy samples to the
 high-precision basis reconstruction and invert). The point of keeping both is
 the precision gap: the first needs only enough accuracy for Babai rounding to
 land, the second needs exponentially many bits.
+
+A problem states only its inputs: the known sublattice M, the basis of L* the
+simulator samples, the sampler, the promised index bound and the precision.
+What else the pipelines read of L* comes from that basis: det L = 1/|det L*|
+for the sample count, 2 |det L*| as the baseline's determinant bound, and the
+lambda_1(L*)^2 bracket of the sampler's own LLL (klein_basis, cached).
 """
 
 from __future__ import annotations
@@ -14,14 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .bdd_sampler import (
-    SamplerConfig,
-    _draws,
-    babai_round,
-    gpv_sigma,
-    lambda1_sq_bracket,
-    sample_dual,
-)
+from .bdd_sampler import SamplerConfig, _draws, babai_round, gpv_sigma, klein_basis
 from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
@@ -44,21 +43,21 @@ class RecoveryProblem(Record):
     b_m: basis of the known sublattice M of L (sublattice pipeline only).
     hidden_dual: basis of L* the simulator secretly samples from.
     index_bound: promised upper bound on [L : M].
-    det_l_bound: upper bound on det L (sample-count formula).
-    lambda1_sq_dual: (lo, hi) with lo <= lambda_1(L*)^2 <= hi. The Babai
-    hypothesis check delta * lambda_1(L*) < 1 / (2 ||B_M||_2) reads hi; the
-    baseline's mu, which needs lambda_1 from below, reads lo.
-    dual_det_bound: upper bound on det L* (baseline pipeline only).
     """
 
     b_m: BasisMatrix
     hidden_dual: BasisMatrix
     sampler: SamplerConfig
     index_bound: int
-    det_l_bound: Fraction
-    lambda1_sq_dual: tuple
-    dual_det_bound: Optional[Fraction] = None
     precision_bits: int = 64
+
+    @property
+    def lambda1_sq_dual(self) -> tuple:
+        """(lo, hi) with lo <= lambda_1(L*)^2 <= hi, from the sampler's LLL of
+        hidden_dual. The Babai hypothesis check
+        delta * lambda_1(L*) < 1 / (2 ||B_M||_2) reads hi; the baseline's mu,
+        which needs lambda_1 from below, reads lo."""
+        return klein_basis(self.hidden_dual).lam_sq_bracket
 
     def __post_init__(self):
         if self.b_m.m != self.hidden_dual.m:
@@ -87,10 +86,11 @@ def compute_k(m: int, lip_log2, detl_log2) -> int:
 
 
 def _sample_count(problem: "RecoveryProblem", k: Optional[int]) -> int:
-    """k, or by default compute_k from the problem's det L bound."""
+    """k, or by default compute_k from det L = 1 / |det L*|."""
     if k is not None:
         return k
-    detl_log2 = max(0.0, math.log2(float(problem.det_l_bound)))
+    det_l = 1 / abs(problem.hidden_dual.det())
+    detl_log2 = max(0.0, math.log2(float(det_l)))
     return compute_k(problem.b_m.m, 0, detl_log2)
 
 
@@ -141,7 +141,7 @@ def recover_with_sublattice(problem: RecoveryProblem, k: int = None) -> Recovery
     coordinate rows; their HNF is a basis W of L* in the M*-frame, the index
     [L : M] = det W is the product of its diagonal, the SNF of W gives the
     invariant factors, and B_L = (W^t)^-1 B_M. The samples are rounded as
-    they are drawn: babai_bdd's rounding of sample_dual's stream, with no
+    they are drawn: babai_bdd's rounding of the sampler's draw stream, with no
     sample record kept.
     """
     b_m = problem.b_m
@@ -213,22 +213,23 @@ def recover_baseline(problem: RecoveryProblem, k: int = None) -> BaselineResult:
     carries floor(-log2(delta * sqrt(hi) + 2^-precision_bits)) bits, hi the
     upper end of lambda1_sq_dual. When those bits cannot meet q the result is
     an infeasibility report carrying the required q, and no sample is drawn.
+    The reconstruction's determinant bound is 2 |det L*|.
     """
     from .buchmann_pohst import BPParams, bp_reduce, ceil_log2
 
-    if problem.dual_det_bound is None:
-        raise ConfigurationError("baseline needs an upper bound on det L*")
     m = problem.b_m.m
     k = _sample_count(problem, k)
-    params = BPParams(mu=sqrt_lower(problem.lambda1_sq_dual[0]), D=problem.dual_det_bound)
+    bits = problem.precision_bits
+    lo, hi = problem.lambda1_sq_dual
+    params = BPParams(mu=sqrt_lower(lo), D=2 * abs(problem.hidden_dual.det()))
     derived = params.derive(m, k)
-    noise = problem.sampler.delta * sqrt_upper(problem.lambda1_sq_dual[1])
-    input_bits = -ceil_log2(noise + Fraction(1, 2**problem.precision_bits))
+    noise = problem.sampler.delta * sqrt_upper(hi)
+    input_bits = -ceil_log2(noise + Fraction(1, 2**bits))
     if input_bits < derived.q:
         return BaselineResult(False, derived.q, None, None, k, input_bits)
 
-    samples = sample_dual(problem.hidden_dual, problem.sampler, k, problem.precision_bits)
-    gens = [s.y_tilde for s in samples]
+    draws = _draws(problem.hidden_dual, problem.sampler, k, bits)
+    gens = [FixedPointVector(mants, bits) for _, mants, _ in draws]
     # the working scale: at least the derived q, pushed up to the target
     # output precision
     result = bp_reduce(
@@ -313,24 +314,18 @@ def build_cyclotomic_problem(m: int, precision_bits: int = 128, seed: int = 0) -
     b_m = cyclotomic_log_basis(m, precision_bits)
     b_dual = b_m.dual()
     # the Babai hypothesis needs an upper bound on lambda_1(L*)
-    lam_sq = lambda1_sq_bracket(b_dual)
-    lam_up = sqrt_upper(lam_sq[1])
+    lam_up = sqrt_upper(klein_basis(b_dual).lam_sq_bracket[1])
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     # half of what the Babai hypothesis allows
     delta = min(Fraction(1, 4), 1 / (4 * bm_two * lam_up))
-    # 2 lambda_1, raised to the width the nearest-plane sampler needs; the
-    # concentration radius covers the 3 sigma ball the draws come from
+    # 2 lambda_1, raised to the width the nearest-plane sampler needs
     sigma = max(2 * lam_up, gpv_sigma(b_dual))
-    cfg = SamplerConfig(delta=delta, r=max(9 * lam_up, 3 * sigma), eta=0, sigma=sigma, seed=seed)
-    det_l = abs(b_m.det())
+    cfg = SamplerConfig(delta=delta, eta=0, sigma=sigma, seed=seed)
     return RecoveryProblem(
         b_m=b_m,
         hidden_dual=b_dual,
         sampler=cfg,
         index_bound=1,
-        det_l_bound=det_l,
-        lambda1_sq_dual=lam_sq,
-        dual_det_bound=abs(b_dual.det()) * 2,
         precision_bits=precision_bits,
     )
 
@@ -356,16 +351,12 @@ def make_planted_problem(dim: int, index: int = 1, seed: int = 0) -> RecoveryPro
     b_l = BasisMatrix.identity(dim)
     bm_two = sqrt_upper(op_norm_two_sq(b_m))
     delta = min(Fraction(1, 4), 1 / (4 * bm_two))  # lambda_1(L*) = 1 here
-    sigma = Fraction(6, 5)
-    cfg = SamplerConfig(delta=delta, r=3 * sigma + 1, eta=0, sigma=sigma, seed=seed)
+    cfg = SamplerConfig(delta=delta, eta=0, sigma=Fraction(6, 5), seed=seed)
     return RecoveryProblem(
         b_m=b_m,
         hidden_dual=b_l,  # Z^dim is self-dual
         sampler=cfg,
         index_bound=index,
-        det_l_bound=Fraction(1),
-        lambda1_sq_dual=(Fraction(1), Fraction(1)),
-        dual_det_bound=Fraction(2),
         precision_bits=64,
     )
 

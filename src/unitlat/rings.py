@@ -68,9 +68,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
     def __add__(self, other):
         assert self.kind == other.kind
         return RingElement(self.a + other.a, self.b + other.b, self.kind)
@@ -109,13 +106,6 @@ class RingElement:
             return a * a + b * b
         return a * a - a * b + b * b
 
-    def inverse(self) -> "RingElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero ring element")
-        c = self.conj()
-        return RingElement(c.a / n, c.b / n, self.kind)
-
     def round(self) -> "RingElement":
         """Nearest ring integer.
 
@@ -149,21 +139,6 @@ class RingElement:
     @classmethod
     def from_json(cls, obj: dict) -> "RingElement":
         return cls(Fraction(obj["a"]), Fraction(obj["b"]), obj["ring"])
-
-
-def ring_units(ring: RingDescriptor) -> tuple:
-    """All units of the ring of integers."""
-    if ring.kind == INTEGERS_KIND:
-        coords = [(1, 0), (-1, 0)]
-    elif ring.kind == GAUSSIAN_KIND:
-        coords = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    else:
-        coords = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
-    return tuple(RingElement(a, b, ring.kind) for a, b in coords)
-
-
-def is_ring_unit(x: RingElement) -> bool:
-    return x.is_integral() and x.norm() == 1
 
 
 def hdot(u, v) -> RingElement:

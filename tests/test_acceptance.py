@@ -325,9 +325,9 @@ def test_criterion_08_sampler_contract():
     sublattice holds < 3/4 of the mass and coverage matches 1 - eta, both
     within the 3-sigma Monte Carlo tolerance; concentration radius holds."""
     b = BasisMatrix.identity(2)
-    cfg = SamplerConfig(delta=F(1, 4), r=7, eta=F(1, 20), sigma=2, seed=8)
+    cfg = SamplerConfig(delta=F(1, 4), eta=F(1, 20), sigma=2, seed=8)
     samples = sample_dual(b, cfg, 10**4)
-    rep = verify_sampler_contract(samples, b, cfg)
+    rep = verify_sampler_contract(samples, b, cfg, 7)
     assert rep["uniformity_ok"], rep
     assert rep["coverage_ok"], rep
     assert rep["concentration_mass"] == 1.0, rep

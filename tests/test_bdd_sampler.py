@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from bisect import bisect_left
@@ -19,8 +20,6 @@ from unitlat.bdd_sampler import (
     dump_samples,
     gpv_sigma,
     klein_basis,
-    lambda1_sq_bracket,
-    load_samples,
     sample_dual,
     verify_sampler_contract,
 )
@@ -48,7 +47,7 @@ PINNED_BASIS = BasisMatrix(
         [F(-1, 2), F(1, 6), F(9, 4)],
     ]
 )
-PINNED_CFG = SamplerConfig(delta=F(1, 8), r=6, eta=F(1, 10), sigma=F(3, 2), seed=11)
+PINNED_CFG = SamplerConfig(delta=F(1, 8), eta=F(1, 10), sigma=F(3, 2), seed=11)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,6 @@ def klein_cases(draw):
         assume(False)
     cfg = SamplerConfig(
         delta=draw(st.sampled_from((F(1, 8), F(1, 4), F(2, 5)))),
-        r=1,
         eta=draw(st.sampled_from((F(1, 10), F(1, 4), F(9, 20)))),
         sigma=gpv_sigma(b) * draw(st.sampled_from((F(1, 2), F(1), F(2)))),
         seed=draw(st.integers(0, 2**32)),
@@ -287,11 +285,11 @@ def klein_cases(draw):
 class TestConfig:
     def test_bounds(self):
         with pytest.raises(ConfigurationError):
-            SamplerConfig(delta=F(1, 2), r=1, eta=0, sigma=1)
+            SamplerConfig(delta=F(1, 2), eta=0, sigma=1)
         with pytest.raises(ConfigurationError):
-            SamplerConfig(delta=0, r=1, eta=F(1, 2), sigma=1)
+            SamplerConfig(delta=0, eta=F(1, 2), sigma=1)
         with pytest.raises(ConfigurationError):
-            SamplerConfig(delta=0, r=1, eta=0, sigma=0)
+            SamplerConfig(delta=0, eta=0, sigma=0)
 
 
 class TestBabai:
@@ -354,15 +352,15 @@ class TestBabai:
 
 
 def bracket(basis, beyond_limit=False):
-    """lambda1_sq_bracket(basis); with beyond_limit, as klein_basis computes
-    it above ENUMERATION_DIM_LIMIT: the bound pair, here on bases small
-    enough to enumerate."""
+    """klein_basis(basis).lam_sq_bracket; with beyond_limit, as klein_basis
+    computes it above ENUMERATION_DIM_LIMIT: the bound pair, here on bases
+    small enough to enumerate."""
     with pytest.MonkeyPatch.context() as mp:
         if beyond_limit:
             mp.setattr(bdd_sampler, "ENUMERATION_DIM_LIMIT", 1)
         klein_basis.cache_clear()
         try:
-            return lambda1_sq_bracket(basis)
+            return klein_basis(basis).lam_sq_bracket
         finally:
             klein_basis.cache_clear()
 
@@ -374,8 +372,8 @@ def assert_brackets(b, lam_sq, beyond_limit=False):
 
 class TestLambda1Bracket:
     def test_exact_small(self):
-        assert lambda1_sq_bracket(BasisMatrix.identity(3)) == (1, 1)
-        assert lambda1_sq_bracket(BasisMatrix.diagonal([F(3), F(5)])) == (9, 9)
+        assert klein_basis(BasisMatrix.identity(3)).lam_sq_bracket == (1, 1)
+        assert klein_basis(BasisMatrix.diagonal([F(3), F(5)])).lam_sq_bracket == (9, 9)
 
     def test_sound_large(self):
         b = BasisMatrix.identity(10)  # above the enumeration dimension limit
@@ -417,7 +415,7 @@ class TestLambda1Bracket:
         the bracket is the bound pair, against the enumerated lambda_1^2."""
         (b,) = seeded_rational_bases(900 + idx, dims=(9 + idx % 2,), per_dim=1)
         lam_sq = shortest_vector_sq(b)
-        lo, hi = lambda1_sq_bracket(b)
+        lo, hi = klein_basis(b).lam_sq_bracket
         assert lo <= lam_sq <= hi
         # the bound pair's lower end, the least Gram-Schmidt norm of the
         # reduced basis R (it may meet lambda_1^2), never below the dual-row
@@ -431,28 +429,39 @@ class TestLambda1Bracket:
 class TestSampler:
     def test_deterministic_replay(self):
         b = BasisMatrix.identity(2)
-        cfg = SamplerConfig(delta=F(1, 4), r=4, eta=F(1, 10), sigma=1, seed=42)
+        cfg = SamplerConfig(delta=F(1, 4), eta=F(1, 10), sigma=1, seed=42)
         s1 = sample_dual(b, cfg, 50)
         s2 = sample_dual(b, cfg, 50)
         assert dump_samples(s1) == dump_samples(s2)
 
     def test_seed_changes_stream(self):
         b = BasisMatrix.identity(2)
-        c1 = SamplerConfig(delta=F(1, 4), r=4, eta=0, sigma=1, seed=1)
-        c2 = SamplerConfig(delta=F(1, 4), r=4, eta=0, sigma=1, seed=2)
+        c1 = SamplerConfig(delta=F(1, 4), eta=0, sigma=1, seed=1)
+        c2 = SamplerConfig(delta=F(1, 4), eta=0, sigma=1, seed=2)
         assert dump_samples(sample_dual(b, c1, 50)) != dump_samples(
             sample_dual(b, c2, 50)
         )
 
     def test_jsonl_roundtrip(self):
+        """Each line of dump_samples is one record, mantissas, exponent,
+        ground truth and failure flag, with no digit lost."""
         b = BasisMatrix.identity(2)
-        cfg = SamplerConfig(delta=F(1, 8), r=4, eta=F(1, 10), sigma=1, seed=3)
+        cfg = SamplerConfig(delta=F(1, 8), eta=F(1, 10), sigma=1, seed=3)
         samples = sample_dual(b, cfg, 20)
-        assert load_samples(dump_samples(samples)) == samples
+        objs = [json.loads(line) for line in dump_samples(samples).splitlines()]
+        back = [
+            SampleRecord(
+                FixedPointVector([int(x) for x in o["y"]["mantissas"]], o["y"]["q"]),
+                tuple(o["gt"]),
+                o["failed"],
+            )
+            for o in objs
+        ]
+        assert back == samples
 
     def test_zero_noise_lands_on_lattice(self):
         b = BasisMatrix.diagonal([F(2), F(3)])
-        cfg = SamplerConfig(delta=0, r=10, eta=0, sigma=2, seed=4)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=2, seed=4)
         for s in sample_dual(b, cfg, 100):
             point = b.row_combination(s.ground_truth_coords)
             assert s.y_tilde.to_rationals() == tuple(point)
@@ -473,9 +482,9 @@ class TestSampler:
 
     def test_contract_report(self):
         b = BasisMatrix.identity(2)
-        cfg = SamplerConfig(delta=F(1, 4), r=7, eta=F(1, 20), sigma=2, seed=5)
+        cfg = SamplerConfig(delta=F(1, 4), eta=F(1, 20), sigma=2, seed=5)
         samples = sample_dual(b, cfg, 2000)
-        rep = verify_sampler_contract(samples, b, cfg)
+        rep = verify_sampler_contract(samples, b, cfg, 7)
         assert rep["uniformity_ok"]
         assert rep["coverage_ok"]
         assert rep["concentration_mass"] == 1.0
@@ -536,7 +545,7 @@ class TestSampler:
         """A level with ||b~_i||^2 far beyond the float range holds only the
         points (a, 0); its weight is capped, not overflowed."""
         b = BasisMatrix([[F(1), F(0)], [F(0), F(10) ** 400]])
-        cfg = SamplerConfig(delta=0, r=4, eta=0, sigma=1, seed=7)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=1, seed=7)
         samples = sample_dual(b, cfg, 200)
         assert {s.ground_truth_coords[1] for s in samples} == {0}
         assert len({s.ground_truth_coords[0] for s in samples}) > 1
@@ -546,13 +555,13 @@ class TestSampler:
         """sigma over a Gram-Schmidt norm of 10^-400 would give a level of
         about 10^400 integers: a configuration error, not an exhausted memory."""
         b = BasisMatrix([[F(1), F(0)], [F(0), F(1, 10**400)]])
-        cfg = SamplerConfig(delta=0, r=4, eta=0, sigma=1, seed=7)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=1, seed=7)
         with pytest.raises(ConfigurationError, match="too wide"):
             sample_dual(b, cfg, 1)
 
     def test_failure_injection_rate(self):
         b = BasisMatrix.identity(2)
-        cfg = SamplerConfig(delta=0, r=7, eta=F(1, 4), sigma=2, seed=6)
+        cfg = SamplerConfig(delta=0, eta=F(1, 4), sigma=2, seed=6)
         samples = sample_dual(b, cfg, 4000)
         rate = sum(s.failed for s in samples) / len(samples)
         assert abs(rate - 0.25) < 0.03
@@ -622,7 +631,7 @@ class TestNearestPlaneAgainstReference:
     def test_draws_in_ball_and_coords_reproduce_point(self, idx):
         b = self.BASES[idx]
         sigma = gpv_sigma(b)
-        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=idx)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=sigma, seed=idx)
         for s in sample_dual(b, cfg, 300, precision_bits=96):
             point = b.row_combination(s.ground_truth_coords)
             assert norm_sq(point) <= 9 * sigma * sigma
@@ -662,7 +671,7 @@ class TestNearestPlaneAgainstReference:
         expected = Counter()
         for x, p in zip(coords, probs):
             expected[key(x)] += p * self.DRAWS
-        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=100 + idx)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=sigma, seed=100 + idx)
         observed = Counter()
         for s in sample_dual(b, cfg, self.DRAWS):
             x = s.ground_truth_coords
@@ -693,6 +702,6 @@ class TestNearestPlaneAgainstReference:
         lie in its 3 sigma ball."""
         b = self.BASES[-1]
         sigma = gpv_sigma(b) / 3
-        cfg = SamplerConfig(delta=0, r=1, eta=0, sigma=sigma, seed=3)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=sigma, seed=3)
         for s in sample_dual(b, cfg, 200):
             assert norm_sq(b.row_combination(s.ground_truth_coords)) <= 9 * sigma * sigma

@@ -333,6 +333,14 @@ class TestExitCodes:
         "ring-int-entries.json": {"ring": "gaussian", "rows": [[1, 0], [0, 1]]},
         "ragged.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1, 2], [2]]},
         "ragged-long.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1 << 32, 0], [0]]},
+        # numbers a bp or matrix file must give as JSON integers: none is truncated
+        "float-q.json": {"q": 32.9, "mu": "1", "D": "4", "vectors": [[2 << 32], [3 << 32]]},
+        "float-vector.json": {"q": 32, "mu": "1", "D": "4",
+                              "vectors": [[8589934592.7], [12884901888]]},
+        "bool-vector.json": {"q": 0, "mu": "1", "D": "4", "vectors": [[True], [3]]},
+        "bool-mu.json": {"q": 32, "mu": True, "D": "4", "vectors": [[2 << 32], [3 << 32]]},
+        "float-m.json": {"m": 2.7, "rows": [["1", "0"], ["0", "1"]]},
+        "bool-rows.json": {"m": 2, "rows": [[True, 0], [0, 1]]},
     }
     # (id, argv, exit code, stderr prefix)
     CASES = [
@@ -447,6 +455,24 @@ class TestExitCodes:
          "error: generators differ in dimension"),
         ("ragged-long-bp", ["bp", "--in", "ragged-long.json"], 1,
          "error: generators differ in dimension"),
+        ("float-q-bp", ["bp", "--in", "float-q.json"], 1,
+         "error: float-q.json: q must be a JSON integer, got 32.9\n"),
+        ("float-vector-bp", ["bp", "--in", "float-vector.json"], 1,
+         "error: float-vector.json: vectors entry must be a JSON integer, got 8589934592.7\n"),
+        ("bool-vector-bp", ["bp", "--in", "bool-vector.json"], 1,
+         "error: bool-vector.json: vectors entry must be a JSON integer, got true\n"),
+        ("bool-mu-bp", ["bp", "--in", "bool-mu.json"], 1,
+         "error: bool-mu.json: mu must be a rational, not a boolean\n"),
+        ("float-m-reduce", ["reduce", "--in", "float-m.json"], 1,
+         "error: float-m.json: malformed matrix entries (m must be a JSON integer, got 2.7)\n"),
+        ("bool-rows-reduce", ["reduce", "--in", "bool-rows.json"], 1,
+         "error: bool-rows.json: malformed matrix entries (rows entries must be integers "
+         "or rational strings, not booleans)\n"),
+        ("bool-rows-sample", ["sample", "--dual", "bool-rows.json"], 1,
+         "error: bool-rows.json: malformed matrix entries (rows entries must be integers "
+         "or rational strings, not booleans)\n"),
+        ("dict-entries-sample", ["sample", "--dual", "dict-entries.json"], 1,
+         "error: dict-entries.json: malformed matrix entries"),
     ]
 
     @pytest.mark.parametrize("name,argv,code,prefix", CASES, ids=[c[0] for c in CASES])

@@ -3,7 +3,7 @@ import math
 import random
 from fractions import Fraction
 
-from unitlat.enumeration import coords_in_ball, lattice_points_in_ball, shortest_vector_sq
+from unitlat.enumeration import lattice_points_in_ball, shortest_vector_sq
 from unitlat.lattice_core import BasisMatrix, RankError, norm_sq
 
 F = Fraction
@@ -49,7 +49,7 @@ def brute_force_points(basis, radius_sq):
 
 
 def assert_matches_brute_force(basis, radius_sq):
-    got = list(coords_in_ball(basis, radius_sq))
+    got = lattice_points_in_ball(basis, radius_sq)
     assert [x for x, _ in got] == brute_force_points(basis, radius_sq)
     scale = basis.den ** 2
     for x, n in got:
@@ -58,7 +58,7 @@ def assert_matches_brute_force(basis, radius_sq):
 
 class TestEnumeration:
     def test_unit_ball_z2(self):
-        pts = {x for x, _ in coords_in_ball(BasisMatrix.identity(2), F(1))}
+        pts = {x for x, _ in lattice_points_in_ball(BasisMatrix.identity(2), F(1))}
         assert pts == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_matches_brute_force(self):

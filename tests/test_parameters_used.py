@@ -1,4 +1,5 @@
-"""Every defaulted parameter of a unitlat function is passed somewhere.
+"""Every defaulted parameter of a unitlat function is passed somewhere, and
+every public function has a caller outside the tests.
 
 A default that no call site overrides is a settable value nobody sets: the
 body should hold the value instead. This parses src/unitlat with ast, and for
@@ -8,6 +9,11 @@ parameter counts as passed when a call names it by keyword, reaches its
 position, or spreads *args or **kwargs. Matching is by name only, so two
 functions of one name share their call sites; that can hide an unused
 default, never invent one.
+
+A public function or method that nothing in src/ or perfbench/ refers to is
+library surface only its own tests call: it goes, unless REFERENCE_ORACLES
+names it with the reason it stays. A name counts as referred to when it is
+read as a name or an attribute anywhere in those trees, again by name only.
 """
 
 import ast
@@ -17,6 +23,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unitlat"
 CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+PIPELINE = (ROOT / "src", ROOT / "perfbench")
+
+# public names no code in src/ or perfbench/ refers to, each with why it stays
+REFERENCE_ORACLES = {
+    "bdd_sampler.babai_bdd": "acceptance oracle (criterion 02); tracer name",
+    "cli.entry": "cli.entry: the console_scripts hook of pyproject.toml",
+    "cyclotomic.alt_period_check": "acceptance oracle (criterion 09)",
+    "enumeration.lattice_points_in_ball": "tracer name; sampler tests' ground truth",
+    "enumeration.shortest_vector_sq": "tracer name; lambda_1 oracle of the bracket tests",
+    "estimator.slope_fit": "acceptance oracle (criterion 07)",
+    "lattice_core.sublattice_index": "test oracle of recovered indices",
+    "lattice_core.FixedPointVector.from_rationals": "acceptance oracle (criterion 02)",
+    "lattice_core.BasisMatrix.diagonal": "test fixture: diagonal lattices in five test files",
+    "recovery.lattices_equal": "acceptance oracle (criterion 01)",
+    "reduction.check_reduced_bound": "acceptance oracle (criterion 04)",
+    "reduction.OKMatrix.nrows": "tracer name: read by the LLL observer through getattr",
+    "reduction.OKMatrix.underlying_z_rows": "acceptance oracle (criterion 04)",
+    "rings.euclidean_minimum_grid": "test oracle of the stored Euclidean minima",
+    "rings.RingElement.to_complex": "test oracle of the ring arithmetic",
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -115,4 +141,45 @@ def test_every_default_is_passed_somewhere():
     assert not unpassed, (
         "defaulted parameters that no call site in src/, tests/ or perfbench/ "
         f"passes; put the value in the body: {unpassed}"
+    )
+
+
+def public_functions() -> list:
+    """(qualified name, name) of every public function and method of src/unitlat."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        scopes = [(node, None) for node in tree.body]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            scopes += [(node, cls.name) for node in cls.body]
+        for node, cls in scopes:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.append((f"{path.stem}.{cls + '.' if cls else ''}{node.name}", node.name))
+    return found
+
+
+def referenced_names() -> set:
+    """Every name read as a name or an attribute in src/ and perfbench/."""
+    names = set()
+    for top in PIPELINE:
+        for path in sorted(top.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller():
+    """The unreferenced public names are exactly those REFERENCE_ORACLES
+    keeps: a new one fails, and so does an entry whose name gained a caller
+    or is gone."""
+    refs = referenced_names()
+    unreferenced = {qual for qual, name in public_functions() if name not in refs}
+    kept = set(REFERENCE_ORACLES)
+    assert unreferenced == kept, (
+        "public names that nothing in src/ or perfbench/ refers to must be "
+        f"deleted or listed with a reason: {sorted(unreferenced - kept)}; "
+        f"entries with a caller or no definition: {sorted(kept - unreferenced)}"
     )

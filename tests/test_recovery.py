@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from test_bdd_sampler import reference_sample_dual
 from test_lattice_core import fractions_in
-from unitlat import bdd_sampler, recovery
+from unitlat import bdd_sampler, buchmann_pohst, recovery
 from unitlat.bdd_sampler import (
     SamplerConfig,
     babai_bdd,
     gpv_sigma,
-    lambda1_sq_bracket,
+    klein_basis,
     sample_dual,
     verify_sampler_contract,
 )
@@ -153,9 +153,7 @@ class TestPlantedRecovery:
 
     def test_hypothesis_checked_at_construction(self):
         p = make_planted_problem(2, 3, seed=1)
-        big_delta = SamplerConfig(
-            delta=F(49, 100), r=p.sampler.r, eta=0, sigma=p.sampler.sigma, seed=1
-        )
+        big_delta = SamplerConfig(delta=F(49, 100), eta=0, sigma=p.sampler.sigma, seed=1)
         with pytest.raises(ConfigurationError):
             p.replace(sampler=big_delta)
 
@@ -217,11 +215,10 @@ def fused_cases(draw):
     index = abs(u.det())
     assume(index <= 12)
     b_m = u.matmul(hidden_dual.dual())
-    lam_sq = lambda1_sq_bracket(hidden_dual)
+    lam_sq = klein_basis(hidden_dual).lam_sq_bracket
     budget = 1 / (4 * sqrt_upper(op_norm_two_sq(b_m)) * sqrt_upper(lam_sq[1]))
     cfg = SamplerConfig(
         delta=draw(st.sampled_from((F(0), min(F(1, 4), budget)))),
-        r=1,
         eta=draw(st.sampled_from((F(0), F(1, 10), F(1, 4)))),
         sigma=gpv_sigma(hidden_dual) * draw(st.sampled_from((F(1, 2), F(1), F(2)))),
         seed=draw(st.integers(0, 2**32)),
@@ -231,8 +228,6 @@ def fused_cases(draw):
         hidden_dual=hidden_dual,
         sampler=cfg,
         index_bound=index,
-        det_l_bound=abs(hidden_dual.dual().det()),
-        lambda1_sq_dual=lam_sq,
         precision_bits=draw(st.sampled_from((53, 64, 96))),
     )
     return problem, draw(st.integers(2 * m, 12 * m))
@@ -252,7 +247,7 @@ class TestFusedRecovery:
     def test_keeps_no_sample_record(self, monkeypatch):
         """The recovery reads the draw stream: neither sample_dual nor
         babai_bdd runs."""
-        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        monkeypatch.setattr(bdd_sampler, "sample_dual", no_sampling)
         monkeypatch.setattr(bdd_sampler, "babai_bdd", no_sampling)
         res = recover_with_retries(make_planted_problem(3, 4, seed=2), k=36)
         assert res.index == 4
@@ -267,13 +262,12 @@ class TestCyclotomicRecovery:
 
     def test_sampler_width_and_radius(self):
         """sigma is raised to the GPV bound of the dual (2 lambda_1 is below
-        it at m=21), and the concentration radius covers the 3 sigma ball."""
+        it at m=21), and every draw lies in the 3 sigma ball."""
         p = build_cyclotomic_problem(21, 128, seed=1)
         assert p.sampler.sigma == gpv_sigma(p.hidden_dual)
         assert p.sampler.sigma > 2 * sqrt_upper(p.lambda1_sq_dual[1])
-        assert p.sampler.r >= 3 * p.sampler.sigma
         samples = sample_dual(p.hidden_dual, p.sampler, 100, 128)
-        report = verify_sampler_contract(samples, p.hidden_dual, p.sampler)
+        report = verify_sampler_contract(samples, p.hidden_dual, p.sampler, 3 * p.sampler.sigma)
         assert report["concentration_mass"] == 1.0 and report["coverage_ok"]
 
     @pytest.mark.parametrize("m", [23, 25, 33])
@@ -294,6 +288,37 @@ class TestCyclotomicRecovery:
     def test_rank_zero_conductor_rejected(self):
         with pytest.raises(ConfigurationError):
             build_cyclotomic_problem(3)
+
+
+class TestDerivedBounds:
+    """A problem states only its inputs: the lambda_1(L*)^2 bracket, det L
+    and the baseline's determinant bound D are read off hidden_dual."""
+
+    @pytest.mark.parametrize("dim", [2, 9])  # either side of the enumeration limit
+    def test_planted(self, dim, monkeypatch):
+        p = make_planted_problem(dim, 1, seed=dim)
+        assert p.lambda1_sq_dual == (1, 1)
+        assert 1 / abs(p.hidden_dual.det()) == 1  # det L
+        assert recovery._sample_count(p, None) == compute_k(dim, 0, 0)
+        seen = []
+
+        def recording(**kwargs):
+            seen.append(kwargs)
+            return real(**kwargs)
+
+        real = buchmann_pohst.BPParams
+        monkeypatch.setattr(buchmann_pohst, "BPParams", recording)
+        monkeypatch.setattr(recovery, "_draws", no_sampling)
+        assert not recover_baseline(p, k=6 * dim).feasible
+        assert [kw["D"] for kw in seen] == [2]
+
+    @pytest.mark.parametrize("m", [11, 23, 33])
+    def test_cyclotomic_det_l(self, m):
+        p = build_cyclotomic_problem(m, 128, seed=1)
+        det_l = 1 / abs(p.hidden_dual.det())
+        assert det_l == abs(p.b_m.det())
+        expected = compute_k(p.b_m.m, 0, max(0.0, math.log2(float(det_l))))
+        assert recovery._sample_count(p, None) == expected
 
 
 NOISE_CASES = [("planted", dim) for dim in range(2, 7)] + [("cyclotomic", m) for m in (5, 11, 21)]
@@ -322,15 +347,12 @@ def no_sampling(*args, **kwargs):
 class TestBaseline:
     def test_dim1_gcd_style(self):
         b_dual = BasisMatrix.diagonal([F(5)])
-        cfg = SamplerConfig(delta=0, r=40, eta=0, sigma=8, seed=4)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=8, seed=4)
         p = RecoveryProblem(
             b_m=b_dual.transpose().inverse_as_matrix(),  # M = L here
             hidden_dual=b_dual,
             sampler=cfg,
             index_bound=1,
-            det_l_bound=F(1, 5),
-            lambda1_sq_dual=(F(16), F(25)),
-            dual_det_bound=F(8),
             precision_bits=512,
         )
         res = recover_baseline(p, k=4)
@@ -343,15 +365,12 @@ class TestBaseline:
 
     def test_infeasibility_report(self):
         b_dual = BasisMatrix.diagonal([F(5)])
-        cfg = SamplerConfig(delta=0, r=40, eta=0, sigma=8, seed=4)
+        cfg = SamplerConfig(delta=0, eta=0, sigma=8, seed=4)
         p = RecoveryProblem(
             b_m=b_dual.transpose().inverse_as_matrix(),
             hidden_dual=b_dual,
             sampler=cfg,
             index_bound=1,
-            det_l_bound=F(1, 5),
-            lambda1_sq_dual=(F(16), F(25)),
-            dual_det_bound=F(8),
             precision_bits=3,
         )
         res = recover_baseline(p, k=4)
@@ -365,7 +384,7 @@ class TestBaseline:
         sample is drawn."""
         p = build_cyclotomic_problem(23, 128, seed=1)
         p = p.replace(precision_bits=90)
-        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        monkeypatch.setattr(recovery, "_draws", no_sampling)
         res = recover_baseline(p)
         assert not res.feasible
         assert res.required_q == 91
@@ -375,7 +394,7 @@ class TestBaseline:
     def test_sampler_noise_makes_cyclotomic_baseline_infeasible(self, m, monkeypatch):
         """delta * lambda_1(L*) is near 1/4 here, so the samples carry at most
         2 bits whatever the mantissa width: no draw, an infeasibility report."""
-        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        monkeypatch.setattr(recovery, "_draws", no_sampling)
         res = recover_baseline(build_cyclotomic_problem(m, 128, seed=0))
         assert not res.feasible and res.b_l_approx is None
         assert res.input_bits < res.required_q
@@ -399,12 +418,6 @@ class TestBaseline:
         res = recover_baseline(p, k=16)
         assert res.feasible
         assert lattices_equal(BasisMatrix(res.b_l_approx), BasisMatrix.identity(3))
-
-    def test_baseline_needs_dual_det_bound(self):
-        p = make_planted_problem(2, 1, seed=0)
-        p = p.replace(dual_det_bound=None)
-        with pytest.raises(ConfigurationError):
-            recover_baseline(p, k=8)
 
     def test_cross_validation_with_sublattice(self):
         """Both pipelines on the same planted instance recover the same
@@ -433,7 +446,7 @@ class TestPrecisionGap:
     def test_baseline_q_grows_with_dimension(self, monkeypatch):
         """At 64 bits the samples carry too few bits, so each report comes
         back before any draw."""
-        monkeypatch.setattr(recovery, "sample_dual", no_sampling)
+        monkeypatch.setattr(recovery, "_draws", no_sampling)
         qs = [
             recover_baseline(make_planted_problem(dim, 2, seed=1), k=6 * dim).required_q
             for dim in self.DIMS
@@ -447,7 +460,7 @@ class TestPrecisionGap:
         while Babai rounding against M* recovers L = Z^dim exactly."""
         p = make_planted_problem(dim, 2, seed=1)
         with monkeypatch.context() as mp:
-            mp.setattr(recovery, "sample_dual", no_sampling)
+            mp.setattr(recovery, "_draws", no_sampling)
             base = recover_baseline(p, k=6 * dim)
         assert not base.feasible and base.b_l_approx is None
         assert base.input_bits < base.required_q
