@@ -300,13 +300,12 @@ class TestDerivedBounds:
         assert p.lambda1_sq_dual == (1, 1)
         assert 1 / abs(p.hidden_dual.det()) == 1  # det L
         assert recovery._sample_count(p, None) == compute_k(dim, 0, 0)
-        seen = []
+        seen, real = [], buchmann_pohst.BPParams
 
         def recording(**kwargs):
             seen.append(kwargs)
             return real(**kwargs)
 
-        real = buchmann_pohst.BPParams
         monkeypatch.setattr(buchmann_pohst, "BPParams", recording)
         monkeypatch.setattr(recovery, "_draws", no_sampling)
         assert not recover_baseline(p, k=6 * dim).feasible
