@@ -7,9 +7,9 @@ log(2 sin(pi r / m)), r = 1..m-1, evaluated once per conductor in integer
 fixed point (pi by Machin's formula, sin by Taylor, log through atanh) with a
 proven radius. Each coordinate carries the summed radius; when one is too
 wide for the requested precision the whole table is rebuilt at double the
-working precision. For a prime power the Galois orbit of
-(1 - zeta^a)/(1 - zeta) is itself a unit basis, which one integer LLL
-shortens (orbit_unit_exponents). Only alt_period_check imports mpmath.
+working precision. Units are exponent maps {t: e_t} for
+prod_t (1 - zeta^t)^e_t; recovery.cyclotomic_log_basis turns a generating
+set of them into a unit basis. Only alt_period_check imports mpmath.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from .lattice_core import ConfigurationError, FixedPointVector, PrecisionError, Record
-from .reduction import DEFAULT_DELTA, _lll_int
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -287,28 +286,6 @@ def cyclotomic_unit_generators(
     shapes = [(j, qi) for j, qi, unit in shapes if unit]
     logs = log_embedding([generator_exponents(field, *s) for s in shapes], field, precision_bits)
     return [UnitGenerator(j, qi, log) for (j, qi), log in zip(shapes, logs)]
-
-
-def orbit_unit_exponents(field: CyclotomicField, precision_bits: int = 128) -> List[Dict[int, int]]:
-    """Exponent maps of an LLL-reduced basis of the cyclotomic units modulo
-    torsion, for a prime-power conductor.
-
-    The units xi_a = (1 - zeta^a)/(1 - zeta), 1 < a < m/2, (a, m) = 1, are
-    rank-many and a Z-basis (Washington, Introduction to Cyclotomic Fields,
-    Lemma 8.1 and Thm 8.2). The LLL of their projected log rows at
-    precision_bits only picks a shorter basis: its unimodular transform U
-    maps a basis to a basis however the logs were rounded, so no separation
-    margin and no bound on lambda_1 is needed. Row i is prod_a xi_a^U[i][a].
-    """
-    if len(field.factorization) != 1:
-        raise ConfigurationError(f"conductor {field.m} is not a prime power")
-    reps = field.embedding_representatives[1:]
-    logs = log_embedding([{a: 1, 1: -1} for a in reps], field, precision_bits)
-    rows = [list(log.mantissas[: len(reps)]) for log in logs]
-    if not all(any(row) for row in rows):
-        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
-    u = _lll_int(rows, DEFAULT_DELTA)[1]
-    return [{**dict(zip(reps, coeffs)), 1: -sum(coeffs)} for coeffs in u]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ simulator samples, the sampler, the promised index bound and the precision.
 What else the pipelines read of L* comes from that basis: det L = 1/|det L*|
 for the sample count, 2 |det L*| as the baseline's determinant bound, and the
 lambda_1(L*)^2 bracket of the sampler's own LLL (klein_basis, cached).
+
+A cyclotomic instance has M = L, the unit log lattice cyclotomic_log_basis
+builds by one route for every conductor; the sampler gets its dual with the
+rows reversed, near LLL-reduced because the primal basis is.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .lattice_core import (
     sqrt_lower,
     sqrt_upper,
 )
-from .reduction import hnf, hnf_rational, snf
+from .reduction import DEFAULT_DELTA, _lll_int, hnf, hnf_rational, snf
 
 
 class RecoveryProblem(Record):
@@ -265,14 +269,21 @@ def lattices_equal(a: BasisMatrix, b: BasisMatrix) -> bool:
 def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     """Basis of the (projected) cyclotomic-unit log lattice of conductor m.
 
-    The log vectors live on the hyperplane of coordinate-sum zero, so
-    dropping the last coordinate is injective. Each basis row is the log of
-    a unit prod_t (1 - zeta^t)^e_t, certified by log_embedding to
-    2^-precision_bits however large the e_t are. For a prime power the units
-    are orbit_unit_exponents'. Otherwise the fixed-point generator logs go
-    to bp_reduce, of whose result only the exact integer coordinates are
-    read; its bounds: unit-lattice minima are bounded below by a constant
-    and the covolume by the generator norms.
+    The logs lie on the coordinate-sum-zero hyperplane, so dropping the last
+    coordinate is injective. One route for every conductor: a generating set
+    G of exponent maps, its log rows, integer coordinates c of a basis in G,
+    and row i the unit prod_g g^c[i][g], its log certified by log_embedding
+    to 2^-precision_bits however large the exponents. Only c differs:
+    - prime power: G is the orbit xi_a = (1 - zeta^a)/(1 - zeta),
+      1 < a < m/2, (a, m) = 1, a basis (Washington, Introduction to
+      Cyclotomic Fields, Lemma 8.1, Thm 8.2); c is one integer LLL's
+      transform, unimodular however the logs were rounded.
+    - otherwise: G is cyclotomic_unit_generators' v_j with 2 j <= m, one per
+      pair {j, m - j} (v_(m-j) = -zeta^-j v_j has v_j's log row); c is
+      bp_reduce's exact basis_coords. Unit-lattice minima are at least a
+      constant, and the covolume at most the product of the rank largest
+      factors sqrt(||row||^2 + 1): each is at least 1, so that product
+      bounds the Hadamard product of every independent rank-subset.
     """
     from .buchmann_pohst import BPParams, bp_reduce
     from .cyclotomic import (
@@ -280,30 +291,39 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
         cyclotomic_unit_generators,
         generator_exponents,
         log_embedding,
-        orbit_unit_exponents,
     )
 
     field = CyclotomicField(m)
     rank = field.unit_rank
     if rank == 0:
         raise ConfigurationError(f"conductor {m} has unit rank 0")
-    if len(field.factorization) == 1:
-        products = orbit_unit_exponents(field, precision_bits)
+    prime_power = len(field.factorization) == 1
+    if prime_power:
+        gens = [{a: 1, 1: -1} for a in field.embedding_representatives[1:]]
+        logs = log_embedding(gens, field, precision_bits)
     else:
-        gens = cyclotomic_unit_generators(field, precision_bits)
-        gens = [g for g in gens if any(g.log.mantissas[:rank])]
-        if len(gens) < rank:
-            raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
-        rows = [FixedPointVector(g.log.mantissas[:rank], precision_bits) for g in gens]
-        det_bound = math.prod(sqrt_upper(norm_sq(r.to_rationals()) + 1) for r in rows[:rank])
-        params = BPParams(mu=Fraction(1, 8), D=max(det_bound, 1))
-        products = []
-        for coords in bp_reduce(rows, params, q_bits=precision_bits).basis_coords:
-            exps = {}
-            for c, g in zip(coords, gens):
-                for t, e in generator_exponents(field, g.j, g.quotient_index).items():
-                    exps[t] = exps.get(t, 0) + int(c.a) * e
-            products.append(exps)
+        units = [g for g in cyclotomic_unit_generators(field, precision_bits) if 2 * g.j <= m]
+        gens = [generator_exponents(field, g.j, g.quotient_index) for g in units]
+        logs = [g.log for g in units]
+    kept = [(g, log.mantissas[:rank]) for g, log in zip(gens, logs) if any(log.mantissas[:rank])]
+    if len(kept) < rank:
+        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
+    gens, rows = zip(*kept)
+    if prime_power:
+        coords = _lll_int(rows, DEFAULT_DELTA)[1]
+    else:
+        fixed = [FixedPointVector(row, precision_bits) for row in rows]
+        factors = sorted(sqrt_upper(norm_sq(v.to_rationals()) + 1) for v in fixed)
+        params = BPParams(mu=Fraction(1, 8), D=math.prod(factors[-rank:]))
+        basis = bp_reduce(fixed, params, q_bits=precision_bits)
+        coords = [[int(c.a) for c in row] for row in basis.basis_coords]
+    products = []
+    for row in coords:
+        exps = {}
+        for c, g in zip(row, gens):
+            for t, e in g.items():
+                exps[t] = exps.get(t, 0) + c * e
+        products.append(exps)
     logs = log_embedding(products, field, precision_bits)
     return BasisMatrix([log.to_rationals()[:rank] for log in logs])
 
@@ -312,7 +332,10 @@ def build_cyclotomic_problem(m: int, precision_bits: int = 128, seed: int = 0) -
     """Recovery instance with M = L = the conductor-m log lattice (class-like
     index 1), sampled through its dual."""
     b_m = cyclotomic_log_basis(m, precision_bits)
-    b_dual = b_m.dual()
+    # the dual rows last first: b_m is LLL-reduced, and the reversed dual of
+    # a reduced basis is close to reduced, which the sampler's LLL is spared
+    d, n = b_m.dual(), b_m.m
+    b_dual = BasisMatrix._with_det(d.den, d.ints[::-1], d._det * (-1) ** (n * (n - 1) // 2))
     # the Babai hypothesis needs an upper bound on lambda_1(L*)
     lam_up = sqrt_upper(klein_basis(b_dual).lam_sq_bracket[1])
     bm_two = sqrt_upper(op_norm_two_sq(b_m))

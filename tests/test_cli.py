@@ -487,6 +487,16 @@ class TestExitCodes:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("m", [35, 39, 45, 52])
+    def test_composites_at_128_bits_exit_0(self, m, capsys):
+        """One generator per pair {j, m - j} takes bp_reduce's derived q to
+        122-128 bits here; with both members of each pair it was 130-140,
+        and each run exited 1 with "input precision 128 bits < required q"."""
+        argv = ["recover", "--cyclotomic", str(m), "--precision-bits", "128"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["index"] == 1
+
     def test_prime_power_at_8_bits_exits_0(self, capsys):
         """m = 5 at 8 bits raised "input precision 8 bits < required q" while
         its unit basis came from bp_reduce; the Galois orbit basis needs no q,

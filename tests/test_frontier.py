@@ -31,9 +31,10 @@ def test_m23_rank10_regulator_matches_group_determinant(capsys):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("m", [33, 44])
 def test_rank9_composites_exit_0(m, seed, capsys):
-    """The sampler spans the dual at m = 33 and 44. No reference reaches
-    their regulators; test_composite_regulators_stable_in_precision checks
-    them against a second working precision instead."""
+    """The sampler spans the dual at m = 33 and 44. Their regulators are
+    half the character oracle of test_regulator_oracle, and
+    test_composite_regulators_stable_in_precision checks them against a
+    second working precision."""
     argv = ["--cyclotomic", str(m), "--precision-bits", "128", "--seed", str(seed)]
     out = recover(argv, capsys)
     assert out["index"] == 1

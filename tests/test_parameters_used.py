@@ -14,6 +14,9 @@ A public function or method that nothing in src/ or perfbench/ refers to is
 library surface only its own tests call: it goes, unless REFERENCE_ORACLES
 names it with the reason it stays. A name counts as referred to when it is
 read as a name or an attribute anywhere in those trees, again by name only.
+
+Every name a src/unitlat module imports, at the top or inside a function,
+is read somewhere in that module: an import left behind by moved code fails.
 """
 
 import ast
@@ -183,3 +186,27 @@ def test_every_public_function_has_a_caller():
         f"deleted or listed with a reason: {sorted(unreferenced - kept)}; "
         f"entries with a caller or no definition: {sorted(kept - unreferenced)}"
     )
+
+
+def unread_imports(tree: ast.Module) -> list:
+    """Names an import in tree binds that no expression in tree reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_import_scan_sees_unread_names():
+    tree = ast.parse("from __future__ import annotations\nimport os.path, re\n"
+                     "from a import b, c as d\ndef f():\n    from e import g\n    return d(os)")
+    assert unread_imports(tree) == ["re", "b", "g"]
+
+
+def test_every_import_is_read():
+    unread = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := unread_imports(_parse(path)))}
+    assert not unread, f"imported names their module never reads: {unread}"

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from unitlat.bdd_sampler import (
     sample_dual,
     verify_sampler_contract,
 )
+from unitlat.cyclotomic import CyclotomicField, cyclotomic_unit_generators
 from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
@@ -270,15 +272,59 @@ class TestCyclotomicRecovery:
         report = verify_sampler_contract(samples, p.hidden_dual, p.sampler, 3 * p.sampler.sigma)
         assert report["concentration_mass"] == 1.0 and report["coverage_ok"]
 
-    @pytest.mark.parametrize("m", [23, 25, 33])
+    @pytest.mark.parametrize("m", [23, 25, 33, 39])
     def test_lambda1_bracket_ends(self, m):
-        """Above the enumeration limit (ranks 9 and 10 here) the bracket is
-        strict, and lambda_1(L*)^2 lies inside it: the Babai hypothesis reads
-        the upper end, the baseline's mu the lower."""
+        """Above the enumeration limit (ranks 9-11 here) lambda_1(L*)^2 lies
+        inside the bracket: the Babai hypothesis reads the upper end, the
+        baseline's mu the lower. At m = 33 the reduced dual's least
+        Gram-Schmidt norm is its shortest row, so lo = hi = lambda_1^2;
+        elsewhere the bracket is strict."""
         p = build_cyclotomic_problem(m, 128, seed=1)
         lo, hi = p.lambda1_sq_dual
         assert lo <= shortest_vector_sq(p.hidden_dual) <= hi
-        assert lo < hi
+        assert lo < hi or m == 33
+
+    @pytest.mark.parametrize("m", [11, 21, 36])
+    def test_sampler_gets_the_reversed_dual(self, m):
+        """The dual rows last first, with the determinant of that order, so
+        the sampler's LLL starts near reduced; the lattice is L* still."""
+        p = build_cyclotomic_problem(m, 128, seed=1)
+        d = p.b_m.dual()
+        assert p.hidden_dual.ints == d.ints[::-1]
+        assert p.hidden_dual.det() == BasisMatrix(d.rows[::-1]).det()
+        assert lattices_equal(p.hidden_dual, d)
+
+    @pytest.mark.parametrize("m,pairs", [(21, 8), (33, 14), (36, 13), (44, 19)])
+    def test_bp_gets_one_generator_per_pair(self, m, pairs, monkeypatch):
+        """v_(m-j) = -zeta^-j v_j has v_j's log row, so bp_reduce receives one
+        row per pair {j, m - j}, half of the 16/28/26/38 rows that both
+        members gave, and loses no row of the full generator set."""
+        calls = spy_bp_reduce(monkeypatch)
+        cyclotomic_log_basis(m, 128)
+        (gens, _), = calls
+        rows = [g.mantissas for g in gens]
+        field = CyclotomicField(m)
+        every = {g.log.mantissas[: field.unit_rank] for g in cyclotomic_unit_generators(field, 128)}
+        assert len(rows) == pairs
+        assert set(rows) == every - {(0,) * field.unit_rank}
+
+    def test_bp_det_bound_covers_every_independent_subset(self, monkeypatch):
+        """D bounds the covolume only if it bounds the Hadamard product of
+        whichever rank-subset of the rows is independent: D^2 >= prod
+        (||row||^2 + 1) over each subset with a nonzero exact determinant,
+        1,287 subsets at m = 36. A product over the first rank rows fell
+        short when those rows were dependent."""
+        calls = spy_bp_reduce(monkeypatch)
+        cyclotomic_log_basis(36, 128)
+        (gens, params), = calls
+        rank, one = len(gens[0].mantissas), 1 << 2 * gens[0].exponent
+        checked = 0
+        for subset in itertools.combinations([g.mantissas for g in gens], rank):
+            if exact_det(subset):
+                bound = math.prod(F(sum(x * x for x in row) + one, one) for row in subset)
+                assert params.D**2 >= bound
+                checked += 1
+        assert checked > 0
 
     def test_m7_rank_and_basis(self):
         b = cyclotomic_log_basis(7, 128)
@@ -288,6 +334,37 @@ class TestCyclotomicRecovery:
     def test_rank_zero_conductor_rejected(self):
         with pytest.raises(ConfigurationError):
             build_cyclotomic_problem(3)
+
+
+def spy_bp_reduce(monkeypatch) -> list:
+    """Record the (generators, params) of each bp_reduce call, which
+    cyclotomic_log_basis imports when it runs."""
+    calls, real = [], buchmann_pohst.bp_reduce
+
+    def spy(gens, params, **kwargs):
+        calls.append((gens, params))
+        return real(gens, params, **kwargs)
+
+    monkeypatch.setattr(buchmann_pohst, "bp_reduce", spy)
+    return calls
+
+
+def exact_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination in Fractions."""
+    a = [[F(x) for x in row] for row in rows]
+    det = F(1)
+    for i in range(len(a)):
+        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != i:
+            a[i], a[pivot] = a[pivot], a[i]
+            det = -det
+        det *= a[i][i]
+        for r in range(i + 1, len(a)):
+            f = a[r][i] / a[i][i]
+            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
+    return det
 
 
 class TestDerivedBounds:
@@ -378,7 +455,7 @@ class TestBaseline:
         assert res.b_l_approx is None
 
     def test_mu_reads_the_lower_lambda1_end(self, monkeypatch):
-        """At m = 23 the bracket is strict: mu = sqrt(lo) gives q = 91 where
+        """At m = 23 the bracket is strict: mu = sqrt(lo) gives q = 90 where
         the upper end would give 88. Below q the report comes back before any
         sample is drawn."""
         p = build_cyclotomic_problem(23, 128, seed=1)
@@ -386,7 +463,7 @@ class TestBaseline:
         monkeypatch.setattr(recovery, "_draws", no_sampling)
         res = recover_baseline(p)
         assert not res.feasible
-        assert res.required_q == 91
+        assert res.required_q == 90
         assert res.samples_used == recovery._sample_count(p, None)
 
     @pytest.mark.parametrize("m", [5, 7, 11, 16])
