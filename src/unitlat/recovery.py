@@ -278,18 +278,20 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
       1 < a < m/2, (a, m) = 1, a basis (Washington, Introduction to
       Cyclotomic Fields, Lemma 8.1, Thm 8.2); c is one integer LLL's
       transform, unimodular however the logs were rounded.
-    - otherwise: G is cyclotomic_unit_generators' v_j with 2 j <= m, one per
-      pair {j, m - j} (v_(m-j) = -zeta^-j v_j has v_j's log row); c is
-      bp_reduce's exact basis_coords. Unit-lattice minima are at least a
-      constant, and the covolume at most the product of the rank largest
-      factors sqrt(||row||^2 + 1): each is at least 1, so that product
-      bounds the Hadamard product of every independent rank-subset.
+    - otherwise: G is the units v_j of cyclotomic_unit_generators with
+      2 j <= m, one per pair {j, m - j} (v_(m-j) = -zeta^-j v_j has v_j's
+      log row); c is bp_reduce's exact basis_coords. Unit-lattice minima
+      are at least a constant, and the covolume at most the product of the
+      rank largest factors sqrt(||row||^2 + 1): each is at least 1, so that
+      product bounds the Hadamard product of every independent rank-subset.
+    A row that vanishes or repeats an earlier one is dropped first: at
+    m = 36, v_8 = 1 + zeta^4 and v_14 = 1 + zeta^-4 share a row.
     """
     from .buchmann_pohst import BPParams, bp_reduce
     from .cyclotomic import (
         CyclotomicField,
-        cyclotomic_unit_generators,
         generator_exponents,
+        generator_shape,
         log_embedding,
     )
 
@@ -300,12 +302,15 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     prime_power = len(field.factorization) == 1
     if prime_power:
         gens = [{a: 1, 1: -1} for a in field.embedding_representatives[1:]]
-        logs = log_embedding(gens, field, precision_bits)
     else:
-        units = [g for g in cyclotomic_unit_generators(field, precision_bits) if 2 * g.j <= m]
-        gens = [generator_exponents(field, g.j, g.quotient_index) for g in units]
-        logs = [g.log for g in units]
-    kept = [(g, log.mantissas[:rank]) for g, log in zip(gens, logs) if any(log.mantissas[:rank])]
+        shapes = [(j, *generator_shape(field, j)) for j in range(1, m // 2 + 1)]
+        gens = [generator_exponents(field, j, qi) for j, qi, unit in shapes if unit]
+    kept, seen = [], set()
+    for g, log in zip(gens, log_embedding(gens, field, precision_bits)):
+        row = log.mantissas[:rank]
+        if any(row) and row not in seen:
+            seen.add(row)
+            kept.append((g, row))
     if len(kept) < rank:
         raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
     gens, rows = zip(*kept)

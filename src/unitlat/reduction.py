@@ -5,17 +5,18 @@ the norm-Euclidean rings Z[i] and Z[zeta_3]. Over Z the loop is all-integer:
 it keeps the Gram determinants d_i and lambda_ij = d_{j+1} mu_ij and updates
 them in place (Cohen, A Course in Computational Algebraic Number Theory,
 Alg. 2.6.7); rational rows are scaled by their common denominator first. Over
-Z[i] and Z[zeta_3] it keeps exact Fraction Gram-Schmidt (size reduction by
-ring-integer rounding of the coefficients, Lovasz condition on algebraic
-norms). Both loops size-reduce row k against rows k-1, ..., 0 before the
-Lovasz test and step back to max(k-1, 1) after a swap, so over Z they make
-the same decisions and return the same rows and transform. The ring is read
-off the input and never passed: a BasisMatrix is over Z, an OKMatrix over its
-.ring, ring-element rows over their entries' kind. hnf and snf are
-exact integer normal forms that keep no transform: hnf returns the Hermite
-form H, snf only the invariant factors, from alternating row and column
-Hermite forms (Kannan-Bachem, SIAM J. Comput. 8, 1979) with no elimination of
-its own.
+Z[i] and Z[zeta_3] it runs Gram-Schmidt once and keeps B_i = ||b_i*||^2 and
+mu exact over the ring's fraction field, updated in place (Cohen, Alg. 2.6.3,
+with the Hermitian product): size reduction by ring-integer rounding of the
+coefficients, Lovasz condition on algebraic norms. Both loops size-reduce row
+k against rows k-1, ..., 0 before the Lovasz test and step back to
+max(k-1, 1) after a swap, so over Z they make the same decisions and return
+the same rows and transform. The ring is read off the input and never
+passed: a BasisMatrix is over Z, an OKMatrix over its .ring, ring-element
+rows over their entries' kind. hnf and snf are exact integer normal forms
+that keep no transform: hnf returns the Hermite form H, snf only the
+invariant factors, from alternating row and column Hermite forms
+(Kannan-Bachem, SIAM J. Comput. 8, 1979) with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -140,8 +141,11 @@ def _gram_schmidt(rows: list) -> tuple:
 def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
     """Exact LLL on a list of ring-element row vectors; returns (rows, transform).
 
-    Recomputes Fraction Gram-Schmidt rows after every change. lll_reduce uses
-    it for Z[i] and Z[zeta_3]; over Z it is the reference _lll_int matches.
+    Cohen's incremental LLL (Alg. 2.6.3) over the ring's fraction field, with
+    the Hermitian product: Gram-Schmidt runs once, then the loop keeps
+    B[i] = ||b_i*||^2 and mu[i][j] exact and updates them in place, O(n) ring
+    operations per size-reduction step and per swap. lll_reduce uses it for
+    Z[i] and Z[zeta_3]; over Z it makes the decisions of _lll_int.
     """
     _check_delta(delta, ring)
     n = len(rows)
@@ -150,35 +154,52 @@ def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
     zero = RingElement(0, 0, ring.kind)
     u = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
-    ortho: List[list] = [None] * n
-    mu: List[list] = [None] * n
-
-    def refresh(i):
-        ortho[i], mu[i] = _gs_row(b, ortho, i)
-        if hnorm_sq(ortho[i]) == 0:
-            raise RankError("rows are dependent over the ring's fraction field")
-
+    ortho, mu, B = [], [], []
     for i in range(n):
-        refresh(i)
+        v, mu_row = _gs_row(b, ortho, i)
+        B.append(hnorm_sq(v))
+        if B[i] == 0:
+            raise RankError("rows are dependent over the ring's fraction field")
+        ortho.append(v)
+        mu.append(mu_row)
 
     k = 1
     while k < n:
-        # size-reduce row k against rows k-1 .. 0
+        # size-reduce row k against rows k-1 .. 0: b_k -= q b_j takes q off
+        # mu_kj and q mu_ji off mu_ki for i < j
+        mk = mu[k]
         for j in range(k - 1, -1, -1):
-            q = mu[k][j].round()
+            q = mk[j].round()
             if not q.is_zero():
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                refresh(k)
-        lhs = hnorm_sq(ortho[k]) + mu[k][k - 1].norm() * hnorm_sq(ortho[k - 1])
-        if lhs >= delta * hnorm_sq(ortho[k - 1]):
+                mk[j] = mk[j] - q
+                mj = mu[j]
+                for i in range(j):
+                    mk[i] = mk[i] - q * mj[i]
+        m1 = mk[k - 1]
+        lhs = B[k] + m1.norm() * B[k - 1]
+        if lhs >= delta * B[k - 1]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            u[k], u[k - 1] = u[k - 1], u[k]
-            for i in range(k - 1, n):
-                refresh(i)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k - 1 and k: the new b_(k-1)* is b_k* + m1 b_(k-1)*, of
+        # squared norm lhs, on which the old b_(k-1) has coefficient
+        # m1n = conj(m1) B_(k-1) / lhs; rows past k rotate their two
+        # coefficients on the old pair into the new one
+        b[k], b[k - 1] = b[k - 1], b[k]
+        u[k], u[k - 1] = u[k - 1], u[k]
+        s = B[k - 1] / lhs
+        m1c = m1.conj()
+        m1n = RingElement(m1c.a * s, m1c.b * s, ring.kind)
+        B[k] = B[k] * s
+        B[k - 1] = lhs
+        mu[k], mu[k - 1] = mu[k - 1] + [m1n], mk[: k - 1]
+        for i in range(k + 1, n):
+            mi = mu[i]
+            t = mi[k]
+            mi[k] = mi[k - 1] - m1 * t
+            mi[k - 1] = t + m1n * mi[k]
+        k = max(k - 1, 1)
     return b, u
 
 

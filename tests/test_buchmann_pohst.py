@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +23,7 @@ from unitlat.lattice_core import (
     RankError,
 )
 from unitlat.reduction import DEFAULT_DELTA, hnf_rational
-from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement
+from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement, ring_by_kind
 
 F = Fraction
 
@@ -216,3 +218,65 @@ class TestGaussianBP:
 
 def _scale(e, q):
     return RingElement(e.a, e.b, e.kind)
+
+
+MODULE_BASIS = [[(2, 1), (1, -1), (0, 1)], [(1, 0), (3, 2), (-1, 1)], [(0, -2), (1, 1), (2, 0)]]
+MODULE_COMBOS = [[(1, 1), (-1, 0), (2, 0)], [(0, 0), (1, -1), (1, 0)]]
+
+
+def noisy_module(kind):
+    """bp_reduce of five noisy generators of a rank-3 module over kind's ring
+    (omega parts dropped over Z): the basis rows and two combinations of
+    them, every coordinate off by less than 2^-64."""
+    ring = ring_by_kind(kind)
+    rng = random.Random(5)
+    elem = lambda a, b: RingElement(a, b if ring.omega else 0, kind)
+    basis = [[elem(*e) for e in row] for row in MODULE_BASIS]
+    exact = basis + [
+        [sum((elem(*c) * row[i] for c, row in zip(cs, basis)), elem(0, 0)) for i in range(3)]
+        for cs in MODULE_COMBOS
+    ]
+    noise = lambda: F(rng.randint(-3, 3), 2**66)
+    gens = [[elem(e.a + noise(), e.b + (noise() if ring.omega else 0)) for e in r] for r in exact]
+    params = BPParams(mu=1, D=1000, ring=ring)
+    if not ring.omega:
+        return bp_reduce([FixedPointVector.from_rationals([e.a for e in g], 64) for g in gens], params)
+    return bp_reduce(gens, params, input_precision_bits=64)
+
+
+class TestPackedResult:
+    @pytest.mark.parametrize(
+        "kind, q, digest",
+        [
+            ("integers", 22, "d51f440a98a99e150749ab134b40afa508f2fb7754975ac10cbeefc56ca6055f"),
+            ("gaussian", 27, "1f1b24d7306676a63787b9c0f25d8cbd238935f80fa1552c9e36cd698dfeb312"),
+            ("eisenstein", 24, "92c6df5b97e8bca11a5b3797b26c17e00b9761ba4d36bb816f6f3d4c7f1c6f68"),
+        ],
+    )
+    def test_views_pinned(self, kind, q, digest):
+        """Every view equals what the result stored when it kept RingElement
+        rows and Fraction norms (sha256 of their repr, pinned then)."""
+        res = noisy_module(kind)
+        views = (
+            res.basis_approx, res.basis_coords, res.relations, res.relation_top_norms_sq,
+            res.basis_top_norms_sq, res.threshold_sq, res.q, res.m, res.k,
+        )
+        assert (res.q, len(res.basis_approx), len(res.relations)) == (q, 3, 2)
+        assert hashlib.sha256(repr(views).encode()).hexdigest() == digest
+        assert relation_norm_check(res)
+
+    def test_bp_result_keeps_ints(self):
+        """A kept Z[i] result reaches no Fraction or RingElement besides its
+        m_tilde and ring: the rows are ints, the views are built on access."""
+        res = noisy_module("gaussian")
+        assert res.basis_approx and res.relation_top_norms_sq  # views keep nothing
+        skip = (res.m_tilde, res.ring)
+        seen, stack, kinds = set(), [res], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type) or any(obj is s for s in skip):
+                continue
+            seen.add(id(obj))
+            kinds.add(type(obj).__name__)
+            stack.extend(gc.get_referents(obj))
+        assert kinds == {"BPResult", "tuple", "int"}

@@ -33,6 +33,7 @@ REFERENCE_ORACLES = {
     "bdd_sampler.babai_bdd": "acceptance oracle (criterion 02); tracer name",
     "cli.entry": "cli.entry: the console_scripts hook of pyproject.toml",
     "cyclotomic.alt_period_check": "acceptance oracle (criterion 09)",
+    "cyclotomic.cyclotomic_unit_generators": "acceptance oracle (criterion 05): every v_j with its log",
     "enumeration.lattice_points_in_ball": "tracer name; sampler tests' ground truth",
     "enumeration.shortest_vector_sq": "tracer name; lambda_1 oracle of the bracket tests",
     "estimator.slope_fit": "acceptance oracle (criterion 07)",

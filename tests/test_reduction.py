@@ -13,9 +13,11 @@ from test_lattice_core import reference_gram_schmidt
 from unitlat.lattice_core import BasisMatrix, ConfigurationError, RankError, norm_sq
 from unitlat.bdd_sampler import babai_bdd, sample_dual
 from unitlat.recovery import cyclotomic_log_basis, make_planted_problem
+from unitlat import reduction
 from unitlat.reduction import (
     DEFAULT_DELTA,
     OKMatrix,
+    _lll_int,
     _lll_rows,
     check_reduced_bound,
     hnf,
@@ -26,7 +28,7 @@ from unitlat.reduction import (
     lll_reduce_rows,
     snf,
 )
-from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement, hnorm_sq
+from unitlat.rings import EISENSTEIN, GAUSSIAN, INTEGERS, RingElement, hdot, hnorm_sq
 
 F = Fraction
 
@@ -125,9 +127,105 @@ def rand_rows(rng, n, bits, rational, identity_block):
     return rows
 
 
+def reference_lll_rows(rows, delta, ring):
+    """(rows, transform): exact LLL over the ring that recomputes each changed
+    row's Fraction Gram-Schmidt data from the rows themselves after every
+    size-reduction step and after every swap. Row k is size-reduced against
+    k-1, ..., 0 by ring.round quotients before the Lovasz test, and a swap
+    steps back to max(k-1, 1): the decisions both library loops must make.
+    RankError when the rows are dependent over the fraction field."""
+    n = len(rows)
+    b = [list(r) for r in rows]
+    one, zero = RingElement(1, 0, ring.kind), RingElement(0, 0, ring.kind)
+    u = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    ortho, mu = [None] * n, [None] * n
+
+    def refresh(i):
+        v, mu_row = list(b[i]), []
+        for j in range(i):
+            c, denom = hdot(b[i], ortho[j]), hnorm_sq(ortho[j])
+            c = RingElement(c.a / denom, c.b / denom, c.kind)
+            mu_row.append(c)
+            v = [x - c * y for x, y in zip(v, ortho[j])]
+        if hnorm_sq(v) == 0:
+            raise RankError("rows are dependent over the ring's fraction field")
+        ortho[i], mu[i] = v, mu_row
+
+    for i in range(n):
+        refresh(i)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = mu[k][j].round()
+            if not q.is_zero():
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                refresh(k)
+        lhs = hnorm_sq(ortho[k]) + mu[k][k - 1].norm() * hnorm_sq(ortho[k - 1])
+        if lhs >= delta * hnorm_sq(ortho[k - 1]):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u[k], u[k - 1] = u[k - 1], u[k]
+            for i in range(k - 1, n):
+                refresh(i)
+            k = max(k - 1, 1)
+    return [tuple(r) for r in b], [tuple(r) for r in u]
+
+
+RINGS = {r.kind: r for r in (INTEGERS, GAUSSIAN, EISENSTEIN)}
+
+
+@st.composite
+def ring_row_sets(draw):
+    """(rows, ring, delta): 1-5 non-symmetric rows of width n..n+2 over Z,
+    Z[i] or Z[zeta_3], integral or over small denominators, with small
+    entries (rounding ties, Lovasz equalities and dependent rows occur) or
+    large ones."""
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 5))
+    width = n + draw(st.integers(0, 2))
+    bits = draw(st.sampled_from([1, 3, 40]))
+    dens = st.sampled_from([1]) if draw(st.booleans()) else st.integers(1, 12)
+    part = st.integers(-(1 << bits), 1 << bits)
+    omega = part if ring is not INTEGERS else st.just(0)
+    entry = st.builds(
+        lambda a, b, d: RingElement(F(a, d), F(b, d), ring.kind), part, omega, dens
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
+    delta = draw(st.sampled_from([F(99, 100), F(3, 4), F(9, 10)]))
+    return rows, ring, delta
+
+
+class TestLoopsMatchReference:
+    """_lll_rows on every ring, and over Z _lll_int (directly on integer rows,
+    through lll_reduce_rows on rational ones), return exactly the reference's
+    rows and transform, and raise RankError where it does."""
+
+    @given(ring_row_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_transform(self, case):
+        rows, ring, delta = case
+        try:
+            expected = reference_lll_rows(rows, delta, ring)
+        except RankError:
+            with pytest.raises(RankError):
+                _lll_rows(rows, delta, ring)
+            with pytest.raises(RankError):
+                lll_reduce_rows(rows, delta)
+            return
+        red, u = _lll_rows(rows, delta, ring)
+        assert ([tuple(r) for r in red], [tuple(r) for r in u]) == expected
+        assert lll_reduce_rows(rows, delta) == expected
+        if ring is INTEGERS and all(e.a.denominator == 1 for r in rows for e in r):
+            red, u, _, _ = _lll_int([[int(e.a) for e in r] for r in rows], delta)
+            wrap = lambda m: [tuple(RingElement(x) for x in r) for r in m]
+            assert (wrap(red), wrap(u)) == expected
+
+
 class TestIntegerCoreMatchesReference:
-    """Over Z, lll_reduce and lll_reduce_rows run the all-integer core; it must
-    return exactly the rows and transform of the Fraction loop _lll_rows."""
+    """Over Z, lll_reduce and lll_reduce_rows run the all-integer core _lll_int;
+    it must return exactly the rows and transform of reference_lll_rows."""
 
     @pytest.mark.parametrize("delta", [F(99, 100), F(3, 4), F(9, 10)])
     def test_byte_identical(self, delta):
@@ -141,7 +239,7 @@ class TestIntegerCoreMatchesReference:
             rows = rand_rows(rng, n, bits, rational, identity_block)
             ring_rows = [[RingElement(x, 0, INTEGERS.kind) for x in r] for r in rows]
             try:
-                ref_b, ref_u = _lll_rows(ring_rows, delta, INTEGERS)
+                ref_b, ref_u = reference_lll_rows(ring_rows, delta, INTEGERS)
             except RankError:  # small entries can draw dependent rows
                 with pytest.raises(RankError):
                     lll_reduce_rows(ring_rows, delta)
@@ -183,7 +281,7 @@ class TestIntegerCoreMatchesReference:
             rows[-1] = [2 * x - 3 * y for x, y in zip(rows[0], rows[1])]
             ring_rows = [[RingElement(x, 0, INTEGERS.kind) for x in r] for r in rows]
             with pytest.raises(RankError):
-                _lll_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
+                reference_lll_rows(ring_rows, DEFAULT_DELTA, INTEGERS)
             with pytest.raises(RankError):
                 lll_reduce_rows(ring_rows, DEFAULT_DELTA)
 
@@ -273,6 +371,19 @@ class TestRingLLL:
         mat = rand_ok_matrix(rng, GAUSSIAN, 3)
         red, _ = lll_reduce(mat, DEFAULT_DELTA)
         assert is_reduced([list(r) for r in red.rows], DEFAULT_DELTA)
+
+    def test_ring_lll_computes_gram_schmidt_once(self, monkeypatch):
+        """Gram-Schmidt runs once per row; size reductions and swaps update
+        B and mu in place and never recompute a row's Gram-Schmidt data."""
+        calls, real = [], reduction._gs_row
+        monkeypatch.setattr(
+            reduction, "_gs_row", lambda b, ortho, i: calls.append(i) or real(b, ortho, i)
+        )
+        mat = rand_ok_matrix(random.Random(6), GAUSSIAN, 4)
+        red, u = lll_reduce_rows(mat)
+        assert calls == [0, 1, 2, 3]
+        assert (red, u) == reference_lll_rows(mat.rows, DEFAULT_DELTA, GAUSSIAN)
+        assert red != list(mat.rows)  # the loop size-reduced or swapped
 
 
 def _sympy_hnf_rows(a):
