@@ -137,11 +137,6 @@ class BPResult(Record):
         return Fraction(2) ** (self.k - 1) * self.m_tilde**2
 
 
-def _round_scaled(x: RingElement, q: int) -> RingElement:
-    scaled = RingElement(x.a * 2**q, x.b * 2**q, x.kind)
-    return scaled.round()
-
-
 def bp_reduce(
     gens: Sequence,
     params: BPParams,
@@ -189,7 +184,7 @@ def bp_reduce(
     zero = RingElement(0, 0, ring.kind)
     rows = []
     for j, g in enumerate(rows_val):
-        top = [_round_scaled(x, q) for x in g]
+        top = [x.round(q) for x in g]
         bottom = [one if i == j else zero for i in range(k)]
         rows.append(top + bottom)
 

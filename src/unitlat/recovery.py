@@ -171,7 +171,9 @@ def recover_with_sublattice(problem: RecoveryProblem, k: int = None) -> Recovery
     assert math.prod(factors) == index
     if index > problem.index_bound:
         raise ContractViolationError(
-            f"recovered index {index} exceeds the bound {problem.index_bound}"
+            f"recovered index {index} exceeds the bound {problem.index_bound}: "
+            "the index bound does not hold, or the samples span a proper "
+            "sublattice of L*; retry with a larger --k or a fresh seed"
         )
     # L* = W . M* in coordinates, so B_L* = W B_M* and B_L = (W^t)^-1 B_M
     b_l = w.dual().matmul(b_m)
@@ -287,7 +289,6 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     A row that vanishes or repeats an earlier one is dropped first: at
     m = 36, v_8 = 1 + zeta^4 and v_14 = 1 + zeta^-4 share a row.
     """
-    from .buchmann_pohst import BPParams, bp_reduce
     from .cyclotomic import (
         CyclotomicField,
         generator_exponents,
@@ -317,6 +318,8 @@ def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     if prime_power:
         coords = _lll_int(rows, DEFAULT_DELTA)[1]
     else:
+        from .buchmann_pohst import BPParams, bp_reduce
+
         fixed = [FixedPointVector(row, precision_bits) for row in rows]
         factors = sorted(sqrt_upper(norm_sq(v.to_rationals()) + 1) for v in fixed)
         params = BPParams(mu=Fraction(1, 8), D=math.prod(factors[-rank:]))

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
-from .lattice_core import Record, round_half_away
+from .lattice_core import Record, round_ratio
 
 INTEGERS_KIND = "integers"
 GAUSSIAN_KIND = "gaussian"
@@ -106,28 +107,28 @@ class RingElement:
             return a * a + b * b
         return a * a - a * b + b * b
 
-    def round(self) -> "RingElement":
-        """Nearest ring integer.
+    def round(self, shift: int = 0) -> "RingElement":
+        """Nearest ring integer to 2^shift * self.
 
         For Z and Z[i] this is coordinate-wise rounding (half away from zero),
         which already attains the Euclidean minimum. For Z[zeta_3] coordinate
-        rounding only guarantees a remainder norm of 3/4, so the nearest of the
-        neighbouring integer points is selected instead (hexagonal Voronoi cell),
-        restoring the N(x - round(x)) <= 1/3 contract. Ties are broken by
-        lexicographically smallest (a, b) for reproducibility.
+        rounding only guarantees a remainder norm of 3/4, so nearest_eisenstein
+        picks the nearest of the neighbouring integer points instead
+        (hexagonal Voronoi cell), restoring the N(x - round(x)) <= 1/3
+        contract. The shift is applied to the integer numerators, so no scaled
+        Fraction is formed.
         """
-        ra, rb = round_half_away(self.a), round_half_away(self.b)
+        a, b = self.a, self.b
         if self.kind != EISENSTEIN_KIND:
-            return RingElement(ra, rb, self.kind)
-        best = None
-        for da in (-1, 0, 1):
-            for db in (-1, 0, 1):
-                q = RingElement(ra + da, rb + db, self.kind)
-                d = (self - q).norm()
-                key = (d, q.a, q.b)
-                if best is None or key < best[0]:
-                    best = (key, q)
-        return best[1]
+            return RingElement(
+                round_ratio(a.numerator << shift, a.denominator),
+                round_ratio(b.numerator << shift, b.denominator),
+                self.kind,
+            )
+        d = lcm(a.denominator, b.denominator)
+        p = (a.numerator * (d // a.denominator)) << shift
+        r = (b.numerator * (d // b.denominator)) << shift
+        return RingElement(*nearest_eisenstein(p, r, d), self.kind)
 
     def to_complex(self) -> complex:
         omega = _BY_KIND[self.kind].omega
@@ -139,6 +140,26 @@ class RingElement:
     @classmethod
     def from_json(cls, obj: dict) -> "RingElement":
         return cls(Fraction(obj["a"]), Fraction(obj["b"]), obj["ring"])
+
+
+def nearest_eisenstein(p: int, r: int, d: int) -> tuple:
+    """The Eisenstein integer a + b*omega nearest to (p + r*omega) / d, d > 0.
+
+    Scores the 3 x 3 neighbourhood of the coordinate rounding (ra, rb) by the
+    integer d^2 N((p + r*omega) / d - (a + b*omega)) = x^2 - xy + y^2, with
+    x = p - a d and y = r - b d, and returns the least (norm, a, b): ties go
+    to the lexicographically smallest (a, b), for reproducibility.
+    """
+    ra, rb = round_ratio(p, d), round_ratio(r, d)
+    best = None
+    for a in (ra - 1, ra, ra + 1):
+        x = p - a * d
+        for b in (rb - 1, rb, rb + 1):
+            y = r - b * d
+            key = (x * x - x * y + y * y, a, b)
+            if best is None or key < best:
+                best = key
+    return best[1], best[2]
 
 
 def hdot(u, v) -> RingElement:

@@ -358,7 +358,9 @@ class TestExitCodes:
          "error: coordinate rows span rank"),
         ("contract-violation",
          ["recover", "--synthetic", "--dim", "2", "--index", "3", "--seed", "1", "--k", "24"],
-         3, "error: recovered index 3 exceeds the bound 1"),
+         3, "error: recovered index 3 exceeds the bound 1: the index bound does not hold, "
+         "or the samples span a proper sublattice of L*; retry with a larger --k or a "
+         "fresh seed"),
         ("synthetic-dim-150", ["recover", "--synthetic", "--dim", "150"], 1,
          "error: nearest-plane draws left the 3 sigma ball"),
         ("array-reduce", ["reduce", "--in", "array.json"], 1,
@@ -711,3 +713,19 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip().splitlines()[-1] == "0 False"
+
+    @pytest.mark.parametrize("m, loaded", [(13, False), (21, True)])
+    def test_cyclotomic_recover_loads_bp_only_for_composites(self, m, loaded):
+        """A prime-power conductor's basis is one integer LLL's transform, so
+        only a composite recovery loads bp_reduce."""
+        code = (
+            "import sys, unitlat.cli\n"
+            f"rc = unitlat.cli.main(['recover', '--cyclotomic', '{m}', '--precision-bits', '128',"
+            " '--seed', '1'])\n"
+            "print(rc, 'unitlat.buchmann_pohst' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == f"0 {loaded}"

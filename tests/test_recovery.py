@@ -181,7 +181,9 @@ def reference_recover(problem, k):
     index = math.prod(h[i][i] for i in range(m))
     if index > problem.index_bound:
         raise ContractViolationError(
-            f"recovered index {index} exceeds the bound {problem.index_bound}"
+            f"recovered index {index} exceeds the bound {problem.index_bound}: "
+            "the index bound does not hold, or the samples span a proper "
+            "sublattice of L*; retry with a larger --k or a fresh seed"
         )
     b_l = BasisMatrix(h).dual().matmul(problem.b_m)
     failed = sum(s.failed for s in samples)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitlat.lattice_core import round_half_away
 from unitlat.rings import (
     EISENSTEIN,
     GAUSSIAN,
@@ -11,6 +14,7 @@ from unitlat.rings import (
     euclidean_minimum_grid,
     hdot,
     hnorm_sq,
+    nearest_eisenstein,
     ring_by_kind,
 )
 
@@ -26,6 +30,63 @@ def rand_elt(rng, ring, span=10):
 def rand_frac_elt(rng, ring, den=7):
     b = F(0) if ring.kind == "integers" else F(rng.randint(-30, 30), den)
     return RingElement(F(rng.randint(-30, 30), den), b, ring.kind)
+
+
+def reference_round(x):
+    """RingElement.round as nine RingElement candidates, each scored by a
+    Fraction norm of its difference: the nearest ring integer, ties to the
+    smallest (norm, a, b)."""
+    ra, rb = round_half_away(x.a), round_half_away(x.b)
+    if x.kind != "eisenstein":
+        return RingElement(ra, rb, x.kind)
+    best = None
+    for da in (-1, 0, 1):
+        for db in (-1, 0, 1):
+            q = RingElement(ra + da, rb + db, x.kind)
+            key = ((x - q).norm(), q.a, q.b)
+            if best is None or key < best[0]:
+                best = (key, q)
+    return best[1]
+
+
+@st.composite
+def round_cases(draw):
+    """(x, shift): a point of a ring's fraction field and a scale 2^shift.
+
+    Three shapes: exact ties (multiples of 1/6, so halves and thirds; points
+    t on the three bisectors of the hexagonal Voronoi cell, b = 2a - 1,
+    a = 2b - 1 and a + b = 1; its vertices 1/3 + 2/3 omega and 2/3 + 1/3
+    omega), 2^q denominators with numerators past 2^q as bp_reduce's inputs
+    have, and any denominator; each moved by an integer point, either sign.
+    """
+    ring = draw(st.sampled_from(RINGS))
+    shape = draw(st.sampled_from(["tie", "dyadic", "any"]))
+    if shape == "tie":
+        t = F(draw(st.integers(-6, 6)), draw(st.sampled_from([2, 3, 6, 12])))
+        sixths = st.integers(-6, 6).map(lambda n: F(n, 6))
+        half = F(1, 2)
+        a, b = draw(st.sampled_from([
+            (draw(sixths), draw(sixths)),
+            (half + t, 2 * t),
+            (2 * t, half + t),
+            (half + t, half - t),
+            (F(1, 3), F(2, 3)),
+            (F(2, 3), F(1, 3)),
+        ]))
+        a += draw(st.integers(-50, 50))
+        b += draw(st.integers(-50, 50))
+    else:
+        if shape == "dyadic":
+            q = draw(st.integers(0, 160))
+            den, span = 2**q, 2 ** (q + 8)
+        else:
+            den, span = draw(st.integers(1, 10**6)), 10**8
+        a = F(draw(st.integers(-span, span)), den)
+        b = F(draw(st.integers(-span, span)), den)
+    if ring is INTEGERS:
+        b = F(0)
+    shift = draw(st.sampled_from([0, 0, 1, 3, 64]))
+    return RingElement(a, b, ring.kind), shift
 
 
 class TestDescriptors:
@@ -102,6 +163,49 @@ class TestRounding:
     def test_integer_round_half_away(self):
         x = RingElement(F(5, 2), F(0), "integers")
         assert x.round() == RingElement(3, 0, "integers")
+
+    @given(round_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_round_matches_reference(self, case):
+        """round(shift) returns reference_round of 2^shift x on every ring,
+        ties, 2^q denominators and negative coordinates included."""
+        x, shift = case
+        scaled = RingElement(x.a * 2**shift, x.b * 2**shift, x.kind)
+        assert x.round(shift) == reference_round(scaled)
+
+    @pytest.mark.parametrize(
+        "a, b, nearest",
+        [
+            # the deep hole i/sqrt(3), equidistant from 0, omega and 1 + omega
+            (F(1, 3), F(2, 3), (0, 0)),
+            (F(-2, 3), F(-1, 3), (-1, -1)),
+            # halfway between 2 and 3: the smaller a wins, unlike over Z
+            (F(5, 2), F(0), (2, 0)),
+            # on the 0 | 1 + omega bisector a + b = 1
+            (F(7, 12), F(5, 12), (0, 0)),
+        ],
+    )
+    def test_eisenstein_ties(self, a, b, nearest):
+        assert RingElement(a, b, "eisenstein").round() == RingElement(*nearest, "eisenstein")
+        den = 12
+        assert nearest_eisenstein(int(a * den), int(b * den), den) == nearest
+
+    def test_eisenstein_round_scores_in_integers(self, monkeypatch):
+        """A Z[zeta_3] round forms no candidate difference and no Fraction
+        norm: the nine candidates are scored in integers."""
+        calls = []
+        for name in ("norm", "__sub__"):
+            real = getattr(RingElement, name)
+
+            def spy(self, *args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(RingElement, name, spy)
+        x = RingElement(F(7, 3), F(-11, 5), "eisenstein")
+        assert x.round() == RingElement(2, -2, "eisenstein")
+        x.round(40)
+        assert calls == []
 
 
 def _as_pair(e):
