@@ -1,22 +1,23 @@
 """Basis reduction and integer normal forms.
 
 lll_reduce runs the LLL algorithm entirely in exact arithmetic, over Z or over
-the norm-Euclidean rings Z[i] and Z[zeta_3]. Over Z the loop is all-integer:
+the norm-Euclidean rings Z[i] and Z[zeta_3], on integer rows: rational rows
+are scaled by their common denominator first. Over Z the loop is all-integer:
 it keeps the Gram determinants d_i and lambda_ij = d_{j+1} mu_ij and updates
 them in place (Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 2.6.7); rational rows are scaled by their common denominator first. Over
-Z[i] and Z[zeta_3] it runs Gram-Schmidt once and keeps B_i = ||b_i*||^2 and
-mu exact over the ring's fraction field, updated in place (Cohen, Alg. 2.6.3,
-with the Hermitian product): size reduction by ring-integer rounding of the
-coefficients, Lovasz condition on algebraic norms. Both loops size-reduce row
-k against rows k-1, ..., 0 before the Lovasz test and step back to
-max(k-1, 1) after a swap, so over Z they make the same decisions and return
-the same rows and transform. The ring is read off the input and never
-passed: a BasisMatrix is over Z, an OKMatrix over its .ring, ring-element
-rows over their entries' kind. hnf and snf are exact integer normal forms
-that keep no transform: hnf returns the Hermite form H, snf only the
-invariant factors, from alternating row and column Hermite forms
-(Kannan-Bachem, SIAM J. Comput. 8, 1979) with no elimination of its own.
+Alg. 2.6.7). Over Z[i] and Z[zeta_3] rows and transform are integer pairs
+(a, b), one per entry a + b*omega, updated by the ring's integer product;
+Gram-Schmidt runs once and B_i = ||b_i*||^2 and mu stay exact over the
+ring's fraction field, updated in place (Cohen, Alg. 2.6.3, with the
+Hermitian product): size reduction by ring-integer rounding of mu, Lovasz
+condition on algebraic norms. Both loops size-reduce row k against rows
+k-1, ..., 0 before the Lovasz test and step back to max(k-1, 1) after a
+swap. The ring is read off the input and never passed: a BasisMatrix is
+over Z, an OKMatrix over its .ring, ring-element rows over their entries'
+kind. hnf and snf are exact integer normal forms that keep no transform:
+hnf returns the Hermite form H, snf only the invariant factors, from
+alternating row and column Hermite forms (Kannan-Bachem, SIAM J. Comput. 8,
+1979) with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lattice_core import (
     integer_rows,
     round_ratio,
 )
-from .rings import INTEGERS, RingDescriptor, RingElement, hdot, hnorm_sq, ring_by_kind
+from .rings import EISENSTEIN, INTEGERS, RingDescriptor, RingElement, hdot, hnorm_sq, ring_by_kind
 
 DEFAULT_DELTA = Fraction(99, 100)  # matches the delta used for both Z and Z[i]
 
@@ -101,6 +102,8 @@ def _ring_rows(basis) -> tuple:
     if isinstance(basis, OKMatrix):
         return [list(r) for r in basis.rows], basis.ring
     rows = [list(r) for r in basis]
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigurationError("rows differ in length")
     kinds = {e.kind for row in rows for e in row}
     if len(kinds) != 1:
         raise ConfigurationError(f"rows must share one ring kind, got {sorted(kinds)}")
@@ -129,50 +132,47 @@ def _gs_row(b: list, ortho: list, i: int):
 
 
 def _gram_schmidt(rows: list) -> tuple:
-    """(ortho, mu): exact Gram-Schmidt vectors and mu[i][j], j < i, of the rows."""
-    ortho, mu = [], []
+    """(mu, B): exact Gram-Schmidt coefficients mu[i][j], j < i, and squared
+    norms B[i] = ||b_i*||^2 of the rows; RankError if they are dependent."""
+    ortho, mu, B = [], [], []
     for i in range(len(rows)):
         v, mu_row = _gs_row(rows, ortho, i)
-        ortho.append(v)
-        mu.append(mu_row)
-    return ortho, mu
-
-
-def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
-    """Exact LLL on a list of ring-element row vectors; returns (rows, transform).
-
-    Cohen's incremental LLL (Alg. 2.6.3) over the ring's fraction field, with
-    the Hermitian product: Gram-Schmidt runs once, then the loop keeps
-    B[i] = ||b_i*||^2 and mu[i][j] exact and updates them in place, O(n) ring
-    operations per size-reduction step and per swap. lll_reduce uses it for
-    Z[i] and Z[zeta_3]; over Z it makes the decisions of _lll_int.
-    """
-    _check_delta(delta, ring)
-    n = len(rows)
-    b = [list(r) for r in rows]
-    one = RingElement(1, 0, ring.kind)
-    zero = RingElement(0, 0, ring.kind)
-    u = [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-    ortho, mu, B = [], [], []
-    for i in range(n):
-        v, mu_row = _gs_row(b, ortho, i)
         B.append(hnorm_sq(v))
         if B[i] == 0:
             raise RankError("rows are dependent over the ring's fraction field")
         ortho.append(v)
         mu.append(mu_row)
+    return mu, B
 
+
+def _lll_pairs(rows: list, delta: Fraction, ring: RingDescriptor):
+    """Exact LLL on rows of integer pairs (a, b), one per ring integer
+    a + b*omega; returns (rows, transform) as integer pairs: _lll_int on the a
+    parts over Z, else Cohen's incremental LLL (Alg. 2.6.3), whose mu and
+    B[i] = ||b_i*||^2 stay exact over the fraction field from one Gram-Schmidt."""
+    if ring.kind == INTEGERS.kind:
+        red, u, _, _ = _lll_int([[a for a, _ in r] for r in rows], delta)
+        return [[(x, 0) for x in r] for r in red], [[(x, 0) for x in r] for r in u]
+    _check_delta(delta, ring)
+    e = int(ring.kind == EISENSTEIN.kind)  # omega^2 = -1 - e*omega
+    n = len(rows)
+    b = list(rows)
+    u = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    mu, B = _gram_schmidt([[RingElement(x, y, ring.kind) for x, y in r] for r in b])
     k = 1
     while k < n:
         # size-reduce row k against rows k-1 .. 0: b_k -= q b_j takes q off
-        # mu_kj and q mu_ji off mu_ki for i < j
+        # mu_kj and q mu_ji off mu_ki for i < j; with q = qa + qb*omega,
+        # x - q y = (xa - qa ya + qb yb, xb - qb ya - (qa - e qb) yb)
         mk = mu[k]
         for j in range(k - 1, -1, -1):
             q = mk[j].round()
             if not q.is_zero():
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                qa, qb = q.a.numerator, q.b.numerator
+                qc = qa - e * qb
+                for m in (b, u):
+                    m[k] = [(xa - qa * ya + qb * yb, xb - qb * ya - qc * yb)
+                            for (xa, xb), (ya, yb) in zip(m[k], m[j])]
                 mk[j] = mk[j] - q
                 mj = mu[j]
                 for i in range(j):
@@ -203,16 +203,24 @@ def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
     return b, u
 
 
+def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
+    """_lll_pairs on ring-element rows scaled by the common denominator D of
+    their coordinates, returned as ring elements divided back by D: mu does
+    not see the scaling, B scales by D^2 and the Lovasz test is homogeneous."""
+    den, ints = integer_rows([[x for e in r for x in (e.a, e.b)] for r in rows])
+    red, u = _lll_pairs([list(zip(r[::2], r[1::2])) for r in ints], delta, ring)
+    return tuple([tuple(RingElement(Fraction(a, d), Fraction(b, d), ring.kind) for a, b in r)
+                  for r in m] for m, d in ((red, den), (u, 1)))
+
+
 def _lll_int(rows: List[List[int]], delta: Fraction):
     """Exact LLL over Z on integer rows, in integers only; returns
     (rows, transform, d, lam), the last two the reduced rows' Gram data.
 
     d and lam start as gram_data(rows) (Gram determinants and lam[k][j] =
     d[j+1] mu_kj) and are kept exact for the current rows throughout; every
-    division below is exact. The decisions are those of _lll_rows: row k is
-    size-reduced against k-1, ..., 0 with q = round_half_away(mu_kj), then
-    the Lovasz test d[k+1] d[k-1] + lam^2 >= delta d[k]^2 decides between
-    k + 1 and a swap followed by max(k - 1, 1).
+    division below is exact. Quotients are q = round_half_away(mu_kj), the
+    Lovasz test is d[k+1] d[k-1] + lam^2 >= delta d[k]^2.
     """
     _check_delta(delta, INTEGERS)
     p, r = delta.numerator, delta.denominator
@@ -278,18 +286,10 @@ def lll_reduce_gram(basis: BasisMatrix) -> tuple:
 
 def lll_reduce_rows(rows, delta=DEFAULT_DELTA):
     """LLL on raw ring-element rows (not necessarily square) or an OKMatrix's
-    rows, over their ring as _ring_rows reads it: the integer core over Z,
-    _lll_rows otherwise. Same contract as lll_reduce. Over Z the rows are
-    scaled by their common denominator D and the result divided back by D:
-    mu and the Lovasz test do not see the scaling."""
+    rows, over their ring as _ring_rows reads it, by _lll_rows. Same contract
+    as lll_reduce."""
     rows, ring = _ring_rows(rows)
-    if ring.kind != INTEGERS.kind:
-        red, u = _lll_rows(rows, delta, ring)
-        return [tuple(r) for r in red], [tuple(r) for r in u]
-    den, ints = integer_rows([[e.a for e in row] for row in rows])
-    red, u, _, _ = _lll_int(ints, delta)
-    red = [tuple(RingElement(Fraction(x, den)) for x in r) for r in red]
-    return red, [tuple(map(RingElement, r)) for r in u]
+    return _lll_rows(rows, delta, ring)
 
 
 def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
@@ -300,15 +300,14 @@ def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
     check_reduced_bound.
     """
     b, ring = _ring_rows(basis)
-    ortho, mu = _gram_schmidt(b)
+    mu, B = _gram_schmidt(b)
     mk = ring.euclidean_minimum
     for i in range(len(b)):
         for j in range(i):
             if mu[i][j].norm() > mk:
                 return False
     for k in range(1, len(b)):
-        lhs = hnorm_sq(ortho[k]) + mu[k][k - 1].norm() * hnorm_sq(ortho[k - 1])
-        if lhs < delta * hnorm_sq(ortho[k - 1]):
+        if B[k] + mu[k][k - 1].norm() * B[k - 1] < delta * B[k - 1]:
             return False
     return True
 
@@ -324,10 +323,9 @@ def check_reduced_bound(basis) -> bool:
     """
     rows, ring = _ring_rows(basis)
     m = len(rows)
-    ortho, _ = _gram_schmidt(rows)
     det_sq = Fraction(1)
-    for v in ortho:
-        det_sq *= hnorm_sq(v)
+    for b in _gram_schmidt(rows)[1]:
+        det_sq *= b
     c_sq = 1 / (DEFAULT_DELTA - ring.euclidean_minimum) ** 2
     for j in range(m):
         # ||b_j||^(2m) <= c^(2m*j) * det_sq, all exact rationals

@@ -266,8 +266,9 @@ class TestPackedResult:
         assert relation_norm_check(res)
 
     def test_bp_result_keeps_ints(self):
-        """A kept Z[i] result reaches no Fraction or RingElement besides its
-        m_tilde and ring: the rows are ints, the views are built on access."""
+        """A kept Z[i] result reaches no Fraction, RingElement or tuple besides
+        its m_tilde and ring: the rows are one packed int, the views are
+        built on access."""
         res = noisy_module("gaussian")
         assert res.basis_approx and res.relation_top_norms_sq  # views keep nothing
         skip = (res.m_tilde, res.ring)
@@ -279,4 +280,4 @@ class TestPackedResult:
             seen.add(id(obj))
             kinds.add(type(obj).__name__)
             stack.extend(gc.get_referents(obj))
-        assert kinds == {"BPResult", "tuple", "int"}
+        assert kinds == {"BPResult", "int"}

@@ -62,9 +62,10 @@ def test_composite_regulators_stable_in_precision(m):
 
 WRONG_BP_BASIS = pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="bp_reduce's basis coordinates reach about q = 128 bits here, so its "
     "basis_approx is off by about 2^-1; cyclotomic_log_basis reads only the "
-    "exact coordinates, bp_reduce itself is unchanged (ROADMAP item 1)",
+    "exact coordinates, bp_reduce itself is unchanged (ROADMAP item 10)",
 )
 
 

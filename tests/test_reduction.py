@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -177,12 +178,40 @@ RINGS = {r.kind: r for r in (INTEGERS, GAUSSIAN, EISENSTEIN)}
 
 
 @st.composite
+def bp_shaped_rows(draw, ring):
+    """k x (m + k) rows as bp_reduce builds them over the ring: k small ring
+    combinations of m small basis rows, scaled by 2^q and off by a few units
+    per coordinate, on top of an identity block."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(m, min(m + 2, 5)))
+    scale = RingElement(2 ** draw(st.sampled_from([4, 16, 40])), 0, ring.kind)
+
+    def block(n, span):  # n rows of m ring integers with parts in [-span, span]
+        part = st.integers(-span, span)
+        elem = st.builds(lambda a, b: RingElement(a, b, ring.kind), part, part)
+        return st.lists(st.lists(elem, min_size=m, max_size=m), min_size=n, max_size=n)
+
+    basis, coeffs, noise = draw(block(m, 2)), draw(block(k, 2)), draw(block(k, 3))
+    rows = []
+    for j in range(k):
+        gen = [sum((c * b[col] for c, b in zip(coeffs[j], basis)), RingElement(0, 0, ring.kind))
+               for col in range(m)]
+        top = [g * scale + e for g, e in zip(gen, noise[j])]
+        rows.append(top + [RingElement(int(i == j), 0, ring.kind) for i in range(k)])
+    return rows
+
+
+@st.composite
 def ring_row_sets(draw):
     """(rows, ring, delta): 1-5 non-symmetric rows of width n..n+2 over Z,
     Z[i] or Z[zeta_3], integral or over small denominators, with small
     entries (rounding ties, Lovasz equalities and dependent rows occur) or
-    large ones."""
+    large ones; over Z[i] and Z[zeta_3] also bp_reduce's shape
+    (bp_shaped_rows)."""
     ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    delta = draw(st.sampled_from([F(99, 100), F(3, 4), F(9, 10)]))
+    if ring is not INTEGERS and draw(st.booleans()):
+        return draw(bp_shaped_rows(ring)), ring, delta
     n = draw(st.integers(1, 5))
     width = n + draw(st.integers(0, 2))
     bits = draw(st.sampled_from([1, 3, 40]))
@@ -193,7 +222,6 @@ def ring_row_sets(draw):
         lambda a, b, d: RingElement(F(a, d), F(b, d), ring.kind), part, omega, dens
     )
     rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=n, max_size=n))
-    delta = draw(st.sampled_from([F(99, 100), F(3, 4), F(9, 10)]))
     return rows, ring, delta
 
 
@@ -332,6 +360,24 @@ class TestRingFromInput:
         assert tuple(tuple(e.a for e in r) for r in red.rows) == red_z.rows
         assert tuple(tuple(e.a for e in r) for r in u.rows) == u_z.rows
 
+    @pytest.mark.parametrize("ring", [INTEGERS, GAUSSIAN, EISENSTEIN])
+    def test_ragged_rows_rejected(self, ring):
+        """Rows [[1, 2], [3]] were cut to [(1, 2), (2,)] over Z and raised a
+        bare AssertionError in hdot over Z[i] and Z[zeta_3]."""
+        rows = [[RingElement(x, 0, ring.kind) for x in r] for r in ([1, 2], [3])]
+        for check in (lll_reduce_rows, is_reduced, check_reduced_bound):
+            with pytest.raises(ConfigurationError, match="differ in length"):
+                check(rows)
+
+    @pytest.mark.parametrize("ring", [INTEGERS, GAUSSIAN, EISENSTEIN])
+    def test_dependent_rows_rejected_by_the_checks(self, ring):
+        """is_reduced and check_reduced_bound share the LLL's Gram-Schmidt and
+        its RankError; they divided by zero or answered on dependent rows."""
+        rows = [[RingElement(x, 0, ring.kind) for x in r] for r in ([1, 2], [2, 4], [0, 1])]
+        for check in (is_reduced, check_reduced_bound):
+            with pytest.raises(RankError):
+                check(rows)
+
     def test_mixed_kinds_rejected(self):
         rows = [
             [RingElement(1, 1, GAUSSIAN.kind), RingElement(0)],
@@ -384,6 +430,41 @@ class TestRingLLL:
         assert calls == [0, 1, 2, 3]
         assert (red, u) == reference_lll_rows(mat.rows, DEFAULT_DELTA, GAUSSIAN)
         assert red != list(mat.rows)  # the loop size-reduced or swapped
+
+    @pytest.mark.parametrize("ring", [GAUSSIAN, EISENSTEIN])
+    def test_size_reduction_keeps_rows_in_integers(self, ring, monkeypatch):
+        """Past Gram-Schmidt the loop does RingElement arithmetic on mu only:
+        rows and transform are integer pairs. So zero columns appended to
+        the rows change neither the result nor the number of RingElement
+        sums, differences and products; when the rows were RingElements,
+        each size-reduction step made one per entry."""
+        rows = [list(r) for r in rand_ok_matrix(random.Random(9), ring, 4).rows]
+        zeros = [RingElement(0, 0, ring.kind)] * 12
+        counts, in_gs, real_gs = Counter(), [False], reduction._gs_row
+
+        def gs_row(b, ortho, i):
+            in_gs[0] = True
+            try:
+                return real_gs(b, ortho, i)
+            finally:
+                in_gs[0] = False
+
+        def counted(name, real):
+            def op(x, y):
+                counts[name] += not in_gs[0]
+                return real(x, y)
+            return op
+
+        monkeypatch.setattr(reduction, "_gs_row", gs_row)
+        for name in ("__add__", "__sub__", "__mul__"):
+            monkeypatch.setattr(RingElement, name, counted(name, getattr(RingElement, name)))
+        red, u = lll_reduce_rows(rows)
+        plain = dict(counts)
+        counts.clear()
+        red_padded, u_padded = lll_reduce_rows([r + zeros for r in rows])
+        assert plain["__sub__"] > 0  # the loop size-reduced
+        assert dict(counts) == plain
+        assert (red_padded, u_padded) == ([r + tuple(zeros) for r in red], u)
 
 
 def _sympy_hnf_rows(a):
