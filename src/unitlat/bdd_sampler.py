@@ -53,6 +53,7 @@ from .lattice_core import (
     Record,
     _check_exponent,
     _set_field,
+    clip,
     norm_sq,
     round_ratio,
     sqrt_lower,
@@ -412,6 +413,8 @@ def verify_sampler_contract(
     n = len(samples)
     if n == 0:
         raise ValueError("no samples to verify")
+    if r < 0:
+        raise ConfigurationError(f"concentration radius r must be >= 0, got {clip(r)}")
     m = b_l_star.m
     lam_sq_lo, _ = klein_basis(b_l_star).lam_sq_bracket
     radius_sq = Fraction(cfg.delta) ** 2 * lam_sq_lo

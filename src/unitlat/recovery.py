@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .bdd_sampler import SamplerConfig, _draws, babai_round, gpv_sigma, klein_basis
@@ -32,8 +33,8 @@ from .lattice_core import (
     FixedPointVector,
     InsufficientSamplesError,
     PrecisionError,
+    RankError,
     Record,
-    norm_sq,
     op_norm_two_sq,
     sqrt_lower,
     sqrt_upper,
@@ -268,72 +269,78 @@ def lattices_equal(a: BasisMatrix, b: BasisMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _distribution_relations(m: int, p: int) -> list:
+    """The relations prod_j (1 - zeta^(t + j m/p)) = 1 - zeta^(p t), p | m and
+    p t != 0 mod m, as integer rows over the exponents t = 1..m//2, each t
+    folded to min(t, m - t): 1 - zeta^-t = -zeta^-t (1 - zeta^t)."""
+    rows = []
+    for t in range(1, m // 2 + 1):
+        if p * t % m:
+            row = [0] * (m // 2 + 1)
+            for s in range(t, t + m, m // p):
+                row[min(s % m, -s % m)] += 1
+            row[min(p * t % m, -p * t % m)] -= 1
+            rows.append(row[1:])
+    return rows
+
+
 def cyclotomic_log_basis(m: int, precision_bits: int = 128) -> BasisMatrix:
     """Basis of the (projected) cyclotomic-unit log lattice of conductor m.
 
     The logs lie on the coordinate-sum-zero hyperplane, so dropping the last
-    coordinate is injective. One route for every conductor: a generating set
-    G of exponent maps, its log rows, integer coordinates c of a basis in G,
-    and row i the unit prod_g g^c[i][g], its log certified by log_embedding
-    to 2^-precision_bits however large the exponents. Only c differs:
-    - prime power: G is the orbit xi_a = (1 - zeta^a)/(1 - zeta),
-      1 < a < m/2, (a, m) = 1, a basis (Washington, Introduction to
-      Cyclotomic Fields, Lemma 8.1, Thm 8.2); c is one integer LLL's
-      transform, unimodular however the logs were rounded.
-    - otherwise: G is the units v_j of cyclotomic_unit_generators with
-      2 j <= m, one per pair {j, m - j} (v_(m-j) = -zeta^-j v_j has v_j's
-      log row); c is bp_reduce's exact basis_coords. Unit-lattice minima
-      are at least a constant, and the covolume at most the product of the
-      rank largest factors sqrt(||row||^2 + 1): each is at least 1, so that
-      product bounds the Hadamard product of every independent rank-subset.
-    A row that vanishes or repeats an earlier one is dropped first: at
-    m = 36, v_8 = 1 + zeta^4 and v_14 = 1 + zeta^-4 share a row.
+    coordinate is injective. One route for every conductor. G is the units
+    v_j of cyclotomic_unit_generators with 2 j <= m, one per pair {j, m - j}
+    (v_(m-j) = -zeta^-j v_j has v_j's log row), as exponent vectors over
+    t = 1..m//2. C holds exact integer coordinates of a unit basis in G.
+    One integer LLL of the log rows of C G gives a transform U, unimodular
+    however the logs were rounded, and row i is the log of the unit
+    (U C G)_i, certified by log_embedding to 2^-precision_bits however
+    large the exponents.
+    - prime power: G is the orbit xi_a = (1 - zeta^a)/(1 - zeta), a basis
+      (Washington, Introduction to Cyclotomic Fields, Lemma 8.1, Thm 8.2),
+      so C = I.
+    - otherwise G has more than rank members. The distribution relations,
+      with evenness, span every multiplicative relation among the
+      1 - zeta^t over Q (Bass, Nagoya Math. J. 27, 1966; Ennola, J. Number
+      Theory 4, 1972: the ones they miss are 2-torsion). So with Y the
+      integer vectors orthogonal to the relation rows, the relations among
+      G are exactly the kernel of g -> g Y^t, and C is the I part of the
+      rows of hnf([G Y^t | I]) whose G Y^t part is nonzero. There must be
+      rank of them; otherwise a relation is missing, and RankError says so.
     """
-    from .cyclotomic import (
-        CyclotomicField,
-        generator_exponents,
-        generator_shape,
-        log_embedding,
-    )
+    from .cyclotomic import CyclotomicField, generator_exponents, generator_shape, log_embedding
 
     field = CyclotomicField(m)
-    rank = field.unit_rank
+    rank, h = field.unit_rank, m // 2
     if rank == 0:
         raise ConfigurationError(f"conductor {m} has unit rank 0")
-    prime_power = len(field.factorization) == 1
-    if prime_power:
-        gens = [{a: 1, 1: -1} for a in field.embedding_representatives[1:]]
-    else:
-        shapes = [(j, *generator_shape(field, j)) for j in range(1, m // 2 + 1)]
-        gens = [generator_exponents(field, j, qi) for j, qi, unit in shapes if unit]
-    kept, seen = [], set()
-    for g, log in zip(gens, log_embedding(gens, field, precision_bits)):
-        row = log.mantissas[:rank]
-        if any(row) and row not in seen:
-            seen.add(row)
-            kept.append((g, row))
-    if len(kept) < rank:
-        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
-    gens, rows = zip(*kept)
-    if prime_power:
-        coords = _lll_int(rows, DEFAULT_DELTA)[1]
-    else:
-        from .buchmann_pohst import BPParams, bp_reduce
+    shapes = [(j, *generator_shape(field, j)) for j in range(1, h + 1)]
+    maps = [generator_exponents(field, j, qi) for j, qi, unit in shapes if unit]
+    gens = [[g.get(t, 0) for t in range(1, h + 1)] for g in maps if g]
 
-        fixed = [FixedPointVector(row, precision_bits) for row in rows]
-        factors = sorted(sqrt_upper(norm_sq(v.to_rationals()) + 1) for v in fixed)
-        params = BPParams(mu=Fraction(1, 8), D=math.prod(factors[-rank:]))
-        basis = bp_reduce(fixed, params, q_bits=precision_bits)
-        coords = [[int(c.a) for c in row] for row in basis.basis_coords]
-    products = []
-    for row in coords:
-        exps = {}
-        for c, g in zip(row, gens):
-            for t, e in g.items():
-                exps[t] = exps.get(t, 0) + c * e
-        products.append(exps)
-    logs = log_embedding(products, field, precision_bits)
-    return BasisMatrix([log.to_rationals()[:rank] for log in logs])
+    def combine(coords, vecs):  # the exponent vectors of the units coords . vecs
+        return [[sum(map(mul, row, col)) for col in zip(*vecs)] for row in coords]
+
+    def augment(rows):  # [rows | I]
+        return [list(r) + [int(i == j) for j in range(len(rows))] for i, r in enumerate(rows)]
+
+    if len(gens) > rank:
+        rel = [r for p, _ in field.factorization for r in _distribution_relations(m, p)]
+        y = [r[len(rel):] for r in hnf(augment(list(zip(*rel)))) if not any(r[:len(rel)])]
+        phi = [[sum(map(mul, g, v)) for v in y] for g in gens]
+        coords = [r[len(y):] for r in hnf(augment(phi)) if any(r[:len(y)])]
+        if len(coords) != rank:
+            raise RankError(f"the relations leave rank {len(coords)} of unit rank {rank}")
+        gens = combine(coords, gens)
+
+    def logs(vecs):  # certified logs of the units with these exponent vectors
+        return log_embedding([dict(enumerate(v, 1)) for v in vecs], field, precision_bits)
+
+    rows = [log.mantissas[:rank] for log in logs(gens)]
+    if not all(map(any, rows)):
+        raise PrecisionError(f"generator logs vanish at {precision_bits} bits")
+    coords = _lll_int(rows, DEFAULT_DELTA)[1]
+    return BasisMatrix([log.to_rationals()[:rank] for log in logs(combine(coords, gens))])
 
 
 def build_cyclotomic_problem(m: int, precision_bits: int = 128, seed: int = 0) -> RecoveryProblem:

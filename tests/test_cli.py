@@ -331,6 +331,9 @@ class TestExitCodes:
         "zero-denominator.json": {"ring": "gaussian", "rows": [[{"a": "1/0", "b": "0",
                                                                  "ring": "gaussian"}]]},
         "ring-int-entries.json": {"ring": "gaussian", "rows": [[1, 0], [0, 1]]},
+        # two generators in dimension 2 need q = 10 at mu = 1, D = 4
+        "low-q.json": {"q": 8, "mu": "1", "D": "4",
+                       "vectors": [[2 << 8, 0], [0, 3 << 8], [1 << 8, 1 << 8]]},
         "ragged.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1, 2], [2]]},
         "ragged-long.json": {"q": 16, "mu": "1", "D": "4", "vectors": [[1 << 32, 0], [0]]},
         # numbers a bp or matrix file must give as JSON integers: none is truncated
@@ -348,8 +351,8 @@ class TestExitCodes:
          "error: basis matrix is singular"),
         ("conductor-6", ["recover", "--cyclotomic", "6"], 1,
          "error: conductor must be >= 3"),
-        ("precision-8", ["recover", "--cyclotomic", "12", "--precision-bits", "8"], 1,
-         "error: input precision 8 bits < required q"),
+        ("precision-8", ["bp", "--in", "low-q.json"], 1,
+         "error: input precision 8 bits < required q = 10\n"),
         ("precision-0", ["recover", "--cyclotomic", "5", "--precision-bits", "0"], 1,
          "error: generator logs vanish at 0 bits"),
         ("rank-deficient-bp", ["bp", "--in", "rank1.json"], 1,
@@ -383,6 +386,8 @@ class TestExitCodes:
          "error: lambda_1 is beyond the float range"),
         ("sample-huge-sigma", ["sample", "--dual", "huge.json", "--sigma", "1e400"], 1,
          "error: sigma is beyond the float range"),
+        ("sample-negative-r", ["sample", "--dual", "id2.json", "--verify", "--r=-4"], 1,
+         "error: concentration radius r must be >= 0, got -4\n"),
         ("recover-negative-precision",
          ["recover", "--cyclotomic", "5", "--precision-bits", "-1"], 1,
          "error: fixed-point exponent must be >= 0"),
@@ -489,11 +494,13 @@ class TestExitCodes:
         assert err.startswith(prefix) and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("m", [35, 39, 45, 52])
+    @pytest.mark.parametrize("m", [35, 39, 45, 52, 56, 51, 63])
     def test_composites_at_128_bits_exit_0(self, m, capsys):
-        """One generator per pair {j, m - j} takes bp_reduce's derived q to
-        122-128 bits here; with both members of each pair it was 130-140,
-        and each run exited 1 with "input precision 128 bits < required q"."""
+        """While composite bases came from bp_reduce, its derived q decided
+        the width: with both members of each pair it was 130-140 bits at
+        m = 35-52, and each run exited 1 with "input precision 128 bits <
+        required q"; m = 56 needed 192 bits and m = 51 and 63 needed 256.
+        The exact relations need no q."""
         argv = ["recover", "--cyclotomic", str(m), "--precision-bits", "128"]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (0, "")
@@ -507,6 +514,15 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         golden = (1 + math.sqrt(5)) / 2
         assert abs(json.loads(out)["regulator"] - math.log(golden)) <= 2**-7
+
+    def test_composite_at_8_bits_exits_0(self, capsys):
+        """m = 12 at 8 bits exited 1 with "input precision 8 bits < required
+        q" while its basis came from bp_reduce; the exact relations need no
+        q, and the regulator is log(2 + sqrt 3) / 2 to the working bits."""
+        argv = ["recover", "--cyclotomic", "12", "--precision-bits", "8"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["regulator"] - math.log(2 + math.sqrt(3)) / 2) <= 2**-7
 
 
 class TestRejectedFlags:
@@ -714,14 +730,18 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip().splitlines()[-1] == "0 False"
 
-    @pytest.mark.parametrize("m, loaded", [(13, False), (21, True)])
-    def test_cyclotomic_recover_loads_bp_only_for_composites(self, m, loaded):
-        """A prime-power conductor's basis is one integer LLL's transform, so
-        only a composite recovery loads bp_reduce."""
+    @pytest.mark.parametrize(
+        "m, flags, loaded", [(13, [], False), (21, [], False), (5, ["--baseline"], True)],
+        ids=["13", "21", "5-baseline"],
+    )
+    def test_cyclotomic_recover_loads_bp_only_for_the_baseline(self, m, flags, loaded):
+        """Every conductor's unit basis comes from exact integer data and one
+        integer LLL, so only the baseline's reconstruction loads bp_reduce.
+        m = 21 loaded it while composite bases came from bp_reduce."""
         code = (
             "import sys, unitlat.cli\n"
             f"rc = unitlat.cli.main(['recover', '--cyclotomic', '{m}', '--precision-bits', '128',"
-            " '--seed', '1'])\n"
+            f" '--seed', '1', *{flags!r}])\n"
             "print(rc, 'unitlat.buchmann_pohst' in sys.modules, file=sys.stderr)"
         )
         proc = subprocess.run(

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 from test_bdd_sampler import reference_sample_dual
 from test_lattice_core import fractions_in
-from unitlat import bdd_sampler, buchmann_pohst, recovery
+from unitlat import bdd_sampler, buchmann_pohst, cyclotomic, recovery
 from unitlat.bdd_sampler import (
     SamplerConfig,
     babai_bdd,
@@ -17,7 +16,7 @@ from unitlat.bdd_sampler import (
     sample_dual,
     verify_sampler_contract,
 )
-from unitlat.cyclotomic import CyclotomicField, cyclotomic_unit_generators
+from unitlat.cyclotomic import CyclotomicField, cyclotomic_unit_generators, log_embedding
 from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
@@ -298,37 +297,41 @@ class TestCyclotomicRecovery:
 
     @pytest.mark.parametrize("m,rows", [(21, 8), (33, 14), (36, 12), (44, 18)])
     def test_bp_gets_one_generator_per_pair(self, m, rows, monkeypatch):
-        """v_(m-j) = -zeta^-j v_j has v_j's log row, so bp_reduce receives one
-        row per pair {j, m - j}, half of the 16/28/26/38 rows that both
-        members gave, less the rows that repeat an earlier one (v_14 = 1 +
+        """v_(m-j) = -zeta^-j v_j has v_j's log row, so the generating set
+        holds one unit per pair {j, m - j}: 8/14/12/18 distinct nonzero log
+        rows, half of the 16/28/26/38 rows that both members gave (v_14 = 1 +
         zeta^-4 repeats v_8 = 1 + zeta^4 at m = 36, v_18 repeats v_8 at
-        m = 44), and loses no row of the full generator set."""
-        calls = spy_bp_reduce(monkeypatch)
-        cyclotomic_log_basis(m, 128)
-        (gens, _), = calls
-        got = [g.mantissas for g in gens]
-        field = CyclotomicField(m)
-        every = {g.log.mantissas[: field.unit_rank] for g in cyclotomic_unit_generators(field, 128)}
-        assert len(got) == len(set(got)) == rows
-        assert set(got) == every - {(0,) * field.unit_rank}
+        m = 44; v_6 = 1 - zeta_6 is a root of unity at m = 36), and loses no
+        row of the full generator set. The name is from when bp_reduce
+        received these rows."""
+        maps, real = [], cyclotomic.generator_exponents
 
-    def test_bp_det_bound_covers_every_independent_subset(self, monkeypatch):
-        """D bounds the covolume only if it bounds the Hadamard product of
-        whichever rank-subset of the rows is independent: D^2 >= prod
-        (||row||^2 + 1) over each subset with a nonzero exact determinant,
-        1,287 subsets at m = 36. A product over the first rank rows fell
-        short when those rows were dependent."""
-        calls = spy_bp_reduce(monkeypatch)
-        cyclotomic_log_basis(36, 128)
-        (gens, params), = calls
-        rank, one = len(gens[0].mantissas), 1 << 2 * gens[0].exponent
-        checked = 0
-        for subset in itertools.combinations([g.mantissas for g in gens], rank):
-            if exact_det(subset):
-                bound = math.prod(F(sum(x * x for x in row) + one, one) for row in subset)
-                assert params.D**2 >= bound
-                checked += 1
-        assert checked > 0
+        def spy(*args):
+            maps.append(real(*args))
+            return maps[-1]
+
+        # cyclotomic_log_basis imports generator_exponents when it runs
+        monkeypatch.setattr(cyclotomic, "generator_exponents", spy)
+        cyclotomic_log_basis(m, 128)
+        field, gens = CyclotomicField(m), [g for g in maps if g]
+        rank = field.unit_rank
+        zero = (0,) * rank
+        got = {log.mantissas[:rank] for log in log_embedding(gens, field, 128)} - {zero}
+        every = {g.log.mantissas[:rank] for g in cyclotomic_unit_generators(field, 128)}
+        assert len(got) == rows
+        assert got == every - {zero}
+
+    def test_rank_check_catches_a_withheld_relation_family(self, monkeypatch):
+        """At m = 21 the relations of p = 3 are needed: with only those of
+        p = 7, the units' images span rank 7, not the unit rank 5, and the
+        rank check raises rather than return a wrong basis. (With only those
+        of p = 3 the rank is 5: over Q they imply the p = 7 ones here.)"""
+        real = recovery._distribution_relations
+        monkeypatch.setattr(
+            recovery, "_distribution_relations", lambda m, p: real(m, p) if p == 7 else []
+        )
+        with pytest.raises(RankError, match="rank 7 of unit rank 5"):
+            cyclotomic_log_basis(21, 128)
 
     def test_m7_rank_and_basis(self):
         b = cyclotomic_log_basis(7, 128)
@@ -338,37 +341,6 @@ class TestCyclotomicRecovery:
     def test_rank_zero_conductor_rejected(self):
         with pytest.raises(ConfigurationError):
             build_cyclotomic_problem(3)
-
-
-def spy_bp_reduce(monkeypatch) -> list:
-    """Record the (generators, params) of each bp_reduce call, which
-    cyclotomic_log_basis imports when it runs."""
-    calls, real = [], buchmann_pohst.bp_reduce
-
-    def spy(gens, params, **kwargs):
-        calls.append((gens, params))
-        return real(gens, params, **kwargs)
-
-    monkeypatch.setattr(buchmann_pohst, "bp_reduce", spy)
-    return calls
-
-
-def exact_det(rows) -> Fraction:
-    """Determinant of a square matrix by Gaussian elimination in Fractions."""
-    a = [[F(x) for x in row] for row in rows]
-    det = F(1)
-    for i in range(len(a)):
-        pivot = next((r for r in range(i, len(a)) if a[r][i]), None)
-        if pivot is None:
-            return F(0)
-        if pivot != i:
-            a[i], a[pivot] = a[pivot], a[i]
-            det = -det
-        det *= a[i][i]
-        for r in range(i + 1, len(a)):
-            f = a[r][i] / a[i][i]
-            a[r] = [x - f * y for x, y in zip(a[r], a[i])]
-    return det
 
 
 class TestDerivedBounds:

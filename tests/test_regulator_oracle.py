@@ -134,13 +134,19 @@ def test_character_oracle_is_twice_the_minor_gcd_reference(m, expect):
     assert abs(character_oracle_regulator(m) - 2 * expect) <= 1e-13 * expect
 
 
-@pytest.mark.parametrize(
-    "m", [12, 15, 20, 21, 24, 28, 33, 35, 36, 39, 40, 44, 45, 48, 52, 60]
-)
+# the 40 composite m <= 100, m != 2 mod 4, of positive unit rank
+COMPOSITES = [
+    12, 15, 20, 21, 24, 28, 33, 35, 36, 39, 40, 44, 45, 48, 51, 52, 55, 56, 57, 60,
+    63, 65, 68, 69, 72, 75, 76, 77, 80, 84, 85, 87, 88, 91, 92, 93, 95, 96, 99, 100,
+]
+
+
+@pytest.mark.parametrize("m", COMPOSITES)
 def test_composite_regulator_is_half_the_character_oracle(m):
-    """Every composite m <= 60 that builds at 128 bits (56 needs 192): the
+    """Every composite m <= 100 of positive unit rank, at 128 bits: the
     pipeline regulator is R/2, the unit index Q = 2. m = 33 and 44 had no
-    reference before this oracle."""
+    reference before this oracle. With bp_reduce's basis, 24 of these did
+    not build at 128 bits and 7 (ranks 27-35) at no width up to 384."""
     expect = character_oracle_regulator(m) / 2
     got = regulator_from_basis(cyclotomic_log_basis(m, 128))
     assert abs(got - expect) <= 1e-10 * expect

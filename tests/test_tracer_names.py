@@ -39,21 +39,19 @@ def test_tables_not_empty():
 
 def test_tracer_records_the_patched_layers(monkeypatch):
     """Installed in-process, the tracer wraps one planted_sweep operation and
-    a cyclotomic log basis: the normal-form and bp_reduce spans are recorded
-    and the bp_reduce observer reads its result, so a changed name or
-    return shape fails here rather than in a traced benchmark run. The
-    conductor is composite (15): prime powers no longer call bp_reduce."""
+    one module_reconstruct operation: the normal-form and bp_reduce spans are
+    recorded and the bp_reduce observer reads its result, so a changed name
+    or return shape fails here rather than in a traced benchmark run."""
     monkeypatch.syspath_prepend(str(TRACER_PATH.parent))
     import workloads
 
-    from unitlat.recovery import cyclotomic_log_basis
-
     inp = workloads.planted_inputs(1)[0]
+    module = workloads.module_inputs(1)[0]
     tracer = TRACER.Tracer()
     tracer.install()
     try:
         result = tracer.root(0, workloads.planted_op, inp.data)
-        tracer.root(1, cyclotomic_log_basis, 15)
+        tracer.root(1, workloads.module_op, module.data)
     finally:
         tracer.uninstall()
     assert workloads.planted_check(inp.data, result)[0]
