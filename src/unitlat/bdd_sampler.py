@@ -60,7 +60,7 @@ from .lattice_core import (
     sqrt_upper,
 )
 from .enumeration import ENUMERATION_DIM_LIMIT, _shortest_sq
-from .reduction import lll_reduce_gram
+from .reduction import DEFAULT_DELTA, _lll_int
 
 
 class SamplerConfig(Record):
@@ -118,8 +118,8 @@ def babai_bdd(y_tilde: FixedPointVector, b_m: BasisMatrix) -> tuple:
 
     Exact given the fixed-point input, and in integers: with B_M = N / D and
     y = y_tilde.mantissas / 2^e, z_i = round_ratio(N_i . mantissas, D 2^e),
-    ties away from zero as in round_half_away. When
-    dist(y_tilde, M*) < 1/(2 ||B_M||_2) z gives the closest vector of M*.
+    ties away from zero as in round_half_away. When dist(y_tilde, M*) <
+    1/(2 max_i ||b_i||), b_i the rows of B_M, z gives the closest vector.
     """
     if y_tilde.dim != b_m.m:
         raise ValueError("dimension mismatch between target and basis")
@@ -175,8 +175,8 @@ class KleinBasis(Record):
 @functools.lru_cache(maxsize=16)
 def klein_basis(basis: BasisMatrix) -> KleinBasis:
     """The LLL-reduced basis, its Gram-Schmidt data and the lambda_1^2
-    bracket, from one LLL per basis."""
-    den, ints, transform, d, lam = lll_reduce_gram(basis)
+    bracket, from one _lll_int per basis, on basis.ints over den = basis.den."""
+    den, (ints, transform, d, lam) = basis.den, _lll_int(basis.ints, DEFAULT_DELTA)
     m = basis.m
     scale = den * den
     gs_sq = [Fraction(d[i + 1], d[i] * scale) for i in range(m)]

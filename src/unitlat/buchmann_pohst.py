@@ -31,16 +31,14 @@ def hermite_constant_upper(m: int) -> Fraction:
 
 
 def ceil_log2(x: Fraction) -> int:
-    """Smallest integer q with 2**q >= x, exact."""
+    """Smallest integer q with 2**q >= x, exact, in integers: with x = n/d
+    and q0 = len(n) - len(d) in bits, 2**(q0-1) < x < 2**(q0+1), so q is q0
+    unless n 2**-q0 > d."""
     if x <= 0:
         raise ValueError("ceil_log2 of nonpositive value")
     n, d = x.numerator, x.denominator
     q = n.bit_length() - d.bit_length()
-    while Fraction(2) ** q < x:
-        q += 1
-    while q > 0 and Fraction(2) ** (q - 1) >= x:
-        q -= 1
-    return q
+    return q + (n << max(-q, 0) > d << max(q, 0))
 
 
 class BPParams(Record):

@@ -165,23 +165,14 @@ def cmd_recover(args) -> int:
             args.seed = cfg["seed"]
     _fill_defaults(args, dim=2, index=1, precision_bits=64, seed=0)
 
+    conductor, dim, index, baseline = args.cyclotomic, args.dim, args.index, args.baseline
     if args.config:
-        if "conductor" in inst:
-            problem = build_cyclotomic_problem(inst["conductor"], args.precision_bits, args.seed)
-        else:
-            problem = make_planted_problem(inst["dim"], inst.get("index", 1), args.seed)
+        conductor, dim, index = inst.get("conductor"), inst.get("dim"), inst.get("index", 1)
         baseline = mode == "baseline"
-        conductor = inst.get("conductor")
-    elif args.cyclotomic is not None:
-        problem = build_cyclotomic_problem(
-            args.cyclotomic, args.precision_bits, args.seed
-        )
-        baseline = args.baseline
-        conductor = args.cyclotomic
+    if conductor is not None:
+        problem = build_cyclotomic_problem(conductor, args.precision_bits, args.seed)
     else:
-        problem = make_planted_problem(args.dim, args.index, args.seed)
-        baseline = args.baseline
-        conductor = None
+        problem = make_planted_problem(dim, index, args.seed)
 
     if baseline:
         res = recover_baseline(problem, k=args.k)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .lattice_core import BasisMatrix, gram_data
-from .reduction import lll_reduce_gram
+from .reduction import DEFAULT_DELTA, _lll_int
 
 ENUMERATION_DIM_LIMIT = 8
 
@@ -78,13 +78,12 @@ def lattice_points_in_ball(basis: BasisMatrix, radius_sq: Fraction) -> list:
 def _shortest_sq(den: int, rows: list, d: list, lam: list) -> Fraction:
     """lambda_1^2 of the lattice of rows / den, enumerated over the rows'
     Gram data (d, lam) within the shortest row's norm: on an LLL-reduced
-    basis, as lll_reduce_gram returns it, that ball holds a handful of
-    points."""
+    basis, as _lll_int returns it, that ball holds a handful of points."""
     bound = min(sum(x * x for x in row) for row in rows)
     return Fraction(min(n for x, n in _walk(d, lam, bound) if any(x)), den * den)
 
 
 def shortest_vector_sq(basis: BasisMatrix) -> Fraction:
     """Exact squared first minimum lambda_1^2 of the lattice."""
-    den, rows, _, d, lam = lll_reduce_gram(basis)
-    return _shortest_sq(den, rows, d, lam)
+    rows, _, d, lam = _lll_int(basis.ints, DEFAULT_DELTA)
+    return _shortest_sq(basis.den, rows, d, lam)

@@ -18,8 +18,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 ROOT_BITS = 64  # relative error of rational upper bounds on square roots
 
 
@@ -70,34 +68,22 @@ def _to_frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def sqrt_upper(x: Fraction, bits: int = ROOT_BITS) -> Fraction:
-    """Rational upper bound on sqrt(x) with relative error <= 2**-bits."""
-    x = _to_frac(x)
-    if x < 0:
-        raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    # sqrt(p/q) = sqrt(p*q)/q; isqrt gives the floor, +1 makes it an upper
-    # bound (exact square roots are returned exactly)
-    p, q = x.numerator, x.denominator
-    s = math.isqrt(p * q * scale * scale)
-    if s * s != p * q * scale * scale:
-        s += 1
-    return Fraction(s, q * scale)
-
-
 def sqrt_lower(x: Fraction, bits: int = ROOT_BITS) -> Fraction:
-    """Rational lower bound on sqrt(x) with relative error <= 2**-bits."""
+    """Rational lower bound on sqrt(x) with relative error <= 2**-bits:
+    sqrt(p/q) = sqrt(p q)/q, and isqrt gives the floor at scale 2**bits."""
     x = _to_frac(x)
     if x < 0:
         raise ValueError("sqrt of negative rational")
-    if x == 0:
-        return Fraction(0)
-    scale = 1 << bits
     p, q = x.numerator, x.denominator
-    s = math.isqrt(p * q * scale * scale)
-    return Fraction(s, q * scale)
+    return Fraction(math.isqrt(p * q << 2 * bits), q << bits)
+
+
+def sqrt_upper(x: Fraction, bits: int = ROOT_BITS) -> Fraction:
+    """Rational upper bound on sqrt(x) with relative error <= 2**-bits:
+    sqrt_lower's floor one step of 1/(q 2**bits) up, unless it is exact."""
+    lo = sqrt_lower(x, bits)
+    x = _to_frac(x)
+    return lo if lo * lo == x else lo + Fraction(1, x.denominator << bits)
 
 
 def nth_root_upper(x: Fraction, n: int, bits: int = ROOT_BITS) -> Fraction:

@@ -59,20 +59,33 @@ class RecoveryProblem(Record):
     @property
     def lambda1_sq_dual(self) -> tuple:
         """(lo, hi) with lo <= lambda_1(L*)^2 <= hi, from the sampler's LLL of
-        hidden_dual. The Babai hypothesis check
-        delta * lambda_1(L*) < 1 / (2 ||B_M||_2) reads hi; the baseline's mu,
-        which needs lambda_1 from below, reads lo."""
+        hidden_dual. The Babai hypothesis check of __post_init__ reads hi; the
+        baseline's mu, which needs lambda_1 from below, reads lo."""
         return klein_basis(self.hidden_dual).lam_sq_bracket
 
     def __post_init__(self):
-        if self.b_m.m != self.hidden_dual.m:
+        """The Babai hypothesis. A sample is off its point of L* by the noise,
+        of norm below delta * lambda_1(L*), and by its rounding to
+        2^-precision_bits, of norm at most sqrt(n) 2^-(precision_bits + 1);
+        rounding against M* lands if 2 max_i ||b_i|| times their sum is below
+        1, b_i the rows of B_M (op_norm_two_sq). ConfigurationError if the
+        noise alone breaks that, PrecisionError if the rounding does."""
+        n = self.b_m.m
+        if n != self.hidden_dual.m:
             raise ConfigurationError("sublattice and dual dimension mismatch")
-        bm_two = sqrt_upper(op_norm_two_sq(self.b_m))
-        lam_up = sqrt_upper(self.lambda1_sq_dual[1])
-        if Fraction(self.sampler.delta) * lam_up * 2 * bm_two >= 1:
+        twice_max_row = 2 * sqrt_upper(op_norm_two_sq(self.b_m))
+        noise = Fraction(self.sampler.delta) * sqrt_upper(self.lambda1_sq_dual[1])
+        if twice_max_row * noise >= 1:
             raise ConfigurationError(
                 "noise radius too large for Babai rounding against M*: need "
-                "delta * lambda_1(L*) < 1 / (2 ||B_M||_2)"
+                "delta * lambda_1(L*) < 1 / (2 max_i ||b_i||), b_i the rows of B_M"
+            )
+        rounding = sqrt_upper(n) * Fraction(1, 2) ** (self.precision_bits + 1)
+        if twice_max_row * (noise + rounding) >= 1:
+            raise PrecisionError(
+                f"samples at 2^-{self.precision_bits} are too coarse for Babai rounding "
+                "against M*: need delta * lambda_1(L*) + sqrt(n) 2^-(precision_bits + 1) "
+                "< 1 / (2 max_i ||b_i||), b_i the rows of B_M"
             )
 
 
@@ -351,21 +364,10 @@ def build_cyclotomic_problem(m: int, precision_bits: int = 128, seed: int = 0) -
     # a reduced basis is close to reduced, which the sampler's LLL is spared
     d, n = b_m.dual(), b_m.m
     b_dual = BasisMatrix._with_det(d.den, d.ints[::-1], d._det * (-1) ** (n * (n - 1) // 2))
-    # the Babai hypothesis needs an upper bound on lambda_1(L*)
     lam_up = sqrt_upper(klein_basis(b_dual).lam_sq_bracket[1])
-    bm_two = sqrt_upper(op_norm_two_sq(b_m))
-    # half of what the Babai hypothesis allows
-    delta = min(Fraction(1, 4), 1 / (4 * bm_two * lam_up))
     # 2 lambda_1, raised to the width the nearest-plane sampler needs
     sigma = max(2 * lam_up, gpv_sigma(b_dual))
-    cfg = SamplerConfig(delta=delta, eta=0, sigma=sigma, seed=seed)
-    return RecoveryProblem(
-        b_m=b_m,
-        hidden_dual=b_dual,
-        sampler=cfg,
-        index_bound=1,
-        precision_bits=precision_bits,
-    )
+    return _problem(b_m, b_dual, lam_up, sigma, 1, precision_bits, seed)
 
 
 def make_planted_problem(dim: int, index: int = 1, seed: int = 0) -> RecoveryProblem:
@@ -386,17 +388,16 @@ def make_planted_problem(dim: int, index: int = 1, seed: int = 0) -> RecoveryPro
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     # adding a multiple of one row to another keeps det = index
     b_m = BasisMatrix._with_det(1, rows, index)
-    b_l = BasisMatrix.identity(dim)
-    bm_two = sqrt_upper(op_norm_two_sq(b_m))
-    delta = min(Fraction(1, 4), 1 / (4 * bm_two))  # lambda_1(L*) = 1 here
-    cfg = SamplerConfig(delta=delta, eta=0, sigma=Fraction(6, 5), seed=seed)
-    return RecoveryProblem(
-        b_m=b_m,
-        hidden_dual=b_l,  # Z^dim is self-dual
-        sampler=cfg,
-        index_bound=index,
-        precision_bits=64,
-    )
+    # Z^dim is self-dual, and lambda_1(L*) = 1
+    return _problem(b_m, BasisMatrix.identity(dim), 1, Fraction(6, 5), index, 64, seed)
+
+
+def _problem(b_m, dual, lam_up, sigma, index_bound, precision_bits, seed) -> RecoveryProblem:
+    """The problem of M = b_m and L* = dual, lam_up >= lambda_1(L*), whose
+    noise radius delta is half of what the Babai hypothesis allows."""
+    delta = min(Fraction(1, 4), 1 / (4 * sqrt_upper(op_norm_two_sq(b_m)) * lam_up))
+    cfg = SamplerConfig(delta=delta, eta=0, sigma=sigma, seed=seed)
+    return RecoveryProblem(b_m, dual, cfg, index_bound, precision_bits)
 
 
 def regulator_from_basis(b_l: BasisMatrix) -> float:

@@ -30,7 +30,6 @@ from .lattice_core import (
     BasisMatrix,
     ConfigurationError,
     RankError,
-    Rat,
     Record,
     clip,
     gram_data,
@@ -203,16 +202,6 @@ def _lll_pairs(rows: list, delta: Fraction, ring: RingDescriptor):
     return b, u
 
 
-def _lll_rows(rows: list, delta: Fraction, ring: RingDescriptor):
-    """_lll_pairs on ring-element rows scaled by the common denominator D of
-    their coordinates, returned as ring elements divided back by D: mu does
-    not see the scaling, B scales by D^2 and the Lovasz test is homogeneous."""
-    den, ints = integer_rows([[x for e in r for x in (e.a, e.b)] for r in rows])
-    red, u = _lll_pairs([list(zip(r[::2], r[1::2])) for r in ints], delta, ring)
-    return tuple([tuple(RingElement(Fraction(a, d), Fraction(b, d), ring.kind) for a, b in r)
-                  for r in m] for m, d in ((red, den), (u, 1)))
-
-
 def _lll_int(rows: List[List[int]], delta: Fraction):
     """Exact LLL over Z on integer rows, in integers only; returns
     (rows, transform, d, lam), the last two the reduced rows' Gram data.
@@ -220,7 +209,9 @@ def _lll_int(rows: List[List[int]], delta: Fraction):
     d and lam start as gram_data(rows) (Gram determinants and lam[k][j] =
     d[j+1] mu_kj) and are kept exact for the current rows throughout; every
     division below is exact. Quotients are q = round_half_away(mu_kj), the
-    Lovasz test is d[k+1] d[k-1] + lam^2 >= delta d[k]^2.
+    Lovasz test is d[k+1] d[k-1] + lam^2 >= delta d[k]^2. On the rows N = D B
+    of a BasisMatrix B (its ints, D its den), the reduced basis is R = N / D
+    and ||r_i*||^2 = d[i+1] / (d[i] D^2).
     """
     _check_delta(delta, INTEGERS)
     p, r = delta.numerator, delta.denominator
@@ -275,21 +266,17 @@ def lll_reduce(basis, delta=DEFAULT_DELTA):
     raise TypeError("basis must be a BasisMatrix or an OKMatrix")
 
 
-def lll_reduce_gram(basis: BasisMatrix) -> tuple:
-    """lll_reduce over Z at DEFAULT_DELTA, in integers, with the Gram data the
-    loop keeps: (D, N, U, d, lam), where D is the common denominator of the
-    input, N = D R the reduced basis R = U B as integer rows, and d, lam are
-    R's Gram determinants and scaled mu as in _lll_int (of N, so
-    ||r_i*||^2 = d[i+1] / (d[i] D^2)). R and U are those of lll_reduce."""
-    return (basis.den,) + tuple(_lll_int(basis.ints, DEFAULT_DELTA))
-
-
 def lll_reduce_rows(rows, delta=DEFAULT_DELTA):
     """LLL on raw ring-element rows (not necessarily square) or an OKMatrix's
-    rows, over their ring as _ring_rows reads it, by _lll_rows. Same contract
-    as lll_reduce."""
+    rows, over their ring as _ring_rows reads it. Same contract as lll_reduce.
+    _lll_pairs runs on the rows scaled by the common denominator D of their
+    coordinates, and the reduced rows are divided back by D: mu does not see
+    the scaling, B scales by D^2 and the Lovasz test is homogeneous."""
     rows, ring = _ring_rows(rows)
-    return _lll_rows(rows, delta, ring)
+    den, ints = integer_rows([[x for e in r for x in (e.a, e.b)] for r in rows])
+    red, u = _lll_pairs([list(zip(r[::2], r[1::2])) for r in ints], delta, ring)
+    return tuple([tuple(RingElement(Fraction(a, d), Fraction(b, d), ring.kind) for a, b in r)
+                  for r in m] for m, d in ((red, den), (u, 1)))
 
 
 def is_reduced(basis, delta=DEFAULT_DELTA) -> bool:
@@ -387,7 +374,7 @@ def hnf_rational(rows: Sequence[Sequence[Fraction]]) -> tuple:
     Clears denominators, takes the integer HNF and rescales back, so two
     generating sets span the same lattice iff their results are equal.
     """
-    rows = [[Rat(x) for x in row] for row in rows]
+    rows = [[Fraction(x) for x in row] for row in rows]
     rows = [r for r in rows if any(x != 0 for x in r)]
     if not rows:
         return ()

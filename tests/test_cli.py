@@ -96,17 +96,26 @@ class TestRecoverCommand:
         # the provenance records the seed the run used, the config's
         assert obj["provenance"]["seed"] == 5
 
-    def test_config_without_seed_reads_the_flag(self, capsys, tmp_path):
-        """A config with no seed key runs --seed, as --synthetic does."""
+    @pytest.mark.parametrize(
+        "cfg,flags",
+        [
+            ({"instance": {"dim": 3, "index": 2}}, ["--synthetic", "--dim", "3", "--index", "2"]),
+            ({"instance": {"conductor": 21}}, ["--cyclotomic", "21"]),
+            ({"mode": "baseline", "instance": {"dim": 3, "index": 2}},
+             ["--synthetic", "--dim", "3", "--index", "2", "--baseline"]),
+        ],
+        ids=["planted", "cyclotomic", "baseline"],
+    )
+    def test_config_without_seed_reads_the_flag(self, cfg, flags, capsys, tmp_path):
+        """A config with no seed key runs --seed, and its instance and mode
+        give the run of the flags that state them."""
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"instance": {"dim": 3, "index": 2}}))
-        _, via_config, _ = run_cli(
+        path.write_text(json.dumps(cfg))
+        code, via_config, _ = run_cli(
             ["recover", "--config", str(path), "--k", "24", "--seed", "4"], capsys
         )
-        _, direct, _ = run_cli(
-            ["recover", "--synthetic", "--dim", "3", "--index", "2", "--k", "24", "--seed", "4"],
-            capsys,
-        )
+        assert code == 0
+        _, direct, _ = run_cli(["recover", *flags, "--k", "24", "--seed", "4"], capsys)
         a, b = json.loads(via_config), json.loads(direct)
         assert a.pop("provenance")["seed"] == b.pop("provenance")["seed"] == 4
         assert a == b
@@ -514,6 +523,19 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         golden = (1 + math.sqrt(5)) / 2
         assert abs(json.loads(out)["regulator"] - math.log(golden)) <= 2**-7
+
+    def test_babai_rounding_precision_is_checked(self, capsys):
+        """At m = 21 the samples' rounding to 2^-0 alone breaks the Babai
+        hypothesis: the run exited 3 and asked for a larger --k or a fresh
+        seed, which cannot help. It is a precision error, exit 1, before any
+        sample is drawn; at 8 bits the rounding fits and the run exits 0."""
+        argv = ["recover", "--cyclotomic", "21", "--seed", "1", "--precision-bits"]
+        code, out, err = run_cli(argv + ["0"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: samples at 2^-0 are too coarse for Babai rounding")
+        code, out, err = run_cli(argv + ["8"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["index"] == 1
 
     def test_composite_at_8_bits_exits_0(self, capsys):
         """m = 12 at 8 bits exited 1 with "input precision 8 bits < required

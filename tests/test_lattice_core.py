@@ -61,13 +61,17 @@ def bisection_nth_root_upper(x, n, bits=64):
 
 
 class TestRoots:
-    @given(st.fractions(min_value=0, max_value=10**9))
+    @given(st.fractions(min_value=0, max_value=10**9), st.sampled_from([1, 8, 64, 100]))
     @settings(max_examples=200, deadline=None)
-    def test_sqrt_bounds_bracket(self, x):
+    def test_sqrt_bounds_bracket(self, x, bits):
+        """The bracket, with sqrt_upper equal to the ceiling nth_root_upper
+        finds by Newton's method; on a perfect square both ends are exact."""
         up = sqrt_upper(x)
         lo = sqrt_lower(x)
         assert lo * lo <= x <= up * up
         assert lo <= up
+        assert sqrt_upper(x, bits) == nth_root_upper(x, 2, bits)
+        assert sqrt_upper(x * x, bits) == sqrt_lower(x * x, bits) == x
 
     @given(st.fractions(min_value=1, max_value=10**9))
     @settings(max_examples=100, deadline=None)

@@ -21,6 +21,7 @@ from unitlat.enumeration import shortest_vector_sq
 from unitlat.lattice_core import (
     BasisMatrix,
     ConfigurationError,
+    PrecisionError,
     RankError,
     UnitlatError,
     op_norm_two_sq,
@@ -157,6 +158,29 @@ class TestPlantedRecovery:
         big_delta = SamplerConfig(delta=F(49, 100), eta=0, sigma=p.sampler.sigma, seed=1)
         with pytest.raises(ConfigurationError):
             p.replace(sampler=big_delta)
+
+    def test_sample_rounding_checked_at_construction(self):
+        """The hypothesis counts the samples' rounding to 2^-precision_bits,
+        of norm at most sqrt(n) 2^-(precision_bits + 1): exactly where it
+        tips 2 max_i ||b_i|| (delta lambda_1+ + rounding) to 1 or more, the
+        problem is a PrecisionError. A noise that breaks the hypothesis
+        alone stays a ConfigurationError at any precision."""
+        p = make_planted_problem(3, 5, seed=2)
+        row_max = 2 * sqrt_upper(op_norm_two_sq(p.b_m))
+        noise = p.sampler.delta * sqrt_upper(p.lambda1_sq_dual[1])
+        accepted = []
+        for bits in range(12):
+            rounding = sqrt_upper(3) * F(1, 2 ** (bits + 1))
+            if row_max * (noise + rounding) < 1:
+                accepted.append(p.replace(precision_bits=bits).precision_bits)
+            else:
+                with pytest.raises(PrecisionError, match=f"samples at 2\\^-{bits} "):
+                    p.replace(precision_bits=bits)
+        assert accepted == list(range(6, 12))
+        big_delta = p.sampler.replace(delta=F(49, 100))
+        for bits in (0, 64):
+            with pytest.raises(ConfigurationError, match="noise radius too large"):
+                p.replace(sampler=big_delta, precision_bits=bits)
 
     def test_index_bound_enforced(self):
         p = make_planted_problem(2, 5, seed=3)
@@ -378,9 +402,10 @@ NOISE_CASES = [("planted", dim) for dim in range(2, 7)] + [("cyclotomic", m) for
 
 @pytest.mark.parametrize("kind,size", NOISE_CASES, ids=[f"{k}-{s}" for k, s in NOISE_CASES])
 def test_noise_is_half_the_babai_budget(kind, size):
-    """Both builders set delta = min(1/4, 1 / (4 ||B_M||_2+ lambda_1+)), the
-    upper ends the problem carries: half of what the Babai hypothesis
-    delta lambda_1(L*) < 1 / (2 ||B_M||_2) allows. m = 5 takes the 1/4 cap."""
+    """Both builders set delta = min(1/4, 1 / (4 max_i ||b_i||+ lambda_1+)),
+    b_i the rows of B_M, from the upper ends the problem carries: half of
+    what the Babai hypothesis delta lambda_1(L*) < 1 / (2 max_i ||b_i||)
+    allows for the noise. m = 5 takes the 1/4 cap."""
     if kind == "planted":
         p = make_planted_problem(size, 2 * size - 1, seed=size)
     else:

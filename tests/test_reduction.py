@@ -19,13 +19,11 @@ from unitlat.reduction import (
     DEFAULT_DELTA,
     OKMatrix,
     _lll_int,
-    _lll_rows,
     check_reduced_bound,
     hnf,
     hnf_rational,
     is_reduced,
     lll_reduce,
-    lll_reduce_gram,
     lll_reduce_rows,
     snf,
 )
@@ -226,23 +224,25 @@ def ring_row_sets(draw):
 
 
 class TestLoopsMatchReference:
-    """_lll_rows on every ring, and over Z _lll_int (directly on integer rows,
-    through lll_reduce_rows on rational ones), return exactly the reference's
-    rows and transform, and raise RankError where it does."""
+    """lll_reduce_rows on every ring, on raw rows and on an OKMatrix of them,
+    and over Z _lll_int (directly on integer rows, through lll_reduce_rows on
+    rational ones), return exactly the reference's rows and transform, and
+    raise RankError where it does."""
 
     @given(ring_row_sets())
     @settings(max_examples=150, deadline=None)
     def test_rows_and_transform(self, case):
         rows, ring, delta = case
+        mat = OKMatrix(tuple(map(tuple, rows)), ring)
         try:
             expected = reference_lll_rows(rows, delta, ring)
         except RankError:
             with pytest.raises(RankError):
-                _lll_rows(rows, delta, ring)
+                lll_reduce_rows(mat, delta)
             with pytest.raises(RankError):
                 lll_reduce_rows(rows, delta)
             return
-        red, u = _lll_rows(rows, delta, ring)
+        red, u = lll_reduce_rows(mat, delta)
         assert ([tuple(r) for r in red], [tuple(r) for r in u]) == expected
         assert lll_reduce_rows(rows, delta) == expected
         if ring is INTEGERS and all(e.a.denominator == 1 for r in rows for e in r):
@@ -281,8 +281,9 @@ class TestIntegerCoreMatchesReference:
                 assert u_m.rows == tuple(tuple(e.a for e in r) for r in ref_u)
 
     def test_gram_data_is_that_of_the_reduced_basis(self):
-        """lll_reduce_gram returns lll_reduce's basis and transform, and the
-        Gram data the loop kept equals the exact Gram-Schmidt of the result."""
+        """_lll_int on a BasisMatrix's ints returns lll_reduce's basis (over
+        the matrix's den) and transform, and the Gram data the loop kept
+        equals the exact Gram-Schmidt of the result."""
         rng = random.Random(7)
         for case in range(24):
             bits = (1, 4, 32, 128)[case % 4]
@@ -291,7 +292,7 @@ class TestIntegerCoreMatchesReference:
                 b = BasisMatrix(rows)
             except RankError:
                 continue
-            den, ints, u, d, lam = lll_reduce_gram(b)
+            den, (ints, u, d, lam) = b.den, _lll_int(b.ints, DEFAULT_DELTA)
             red, u_ref = lll_reduce(b)
             assert [[F(x, den) for x in r] for r in ints] == [list(r) for r in red.rows]
             assert [tuple(r) for r in u] == [tuple(int(x) for x in r) for r in u_ref.rows]
